@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race racegate bench bench-json bench-smoke vet fmt fmt-check lint gate check check-baseline experiments
+.PHONY: all build test race racegate perfbench bench bench-json bench-smoke vet fmt fmt-check lint gate check check-baseline experiments
 
 all: build test
 
@@ -26,6 +26,14 @@ race:
 racegate:
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 -run 'TestRaceGate' ./internal/serve/ ./internal/verify/
 	$(GO) test -race -count=1 ./internal/verify/
+
+# perfbench vets and tests the nested benchmark module (perfbench/ has its
+# own go.mod, so ./... above never reaches it). Its tests run every
+# workload at tiny scale with all answer gates, which checks that the
+# benchmark still builds against the serve and index APIs and that served
+# answers still equal direct ones.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 vet:
 	$(GO) vet ./...
@@ -61,10 +69,10 @@ gate:
 
 # Default verification bundle: the gofmt gate CI enforces, vet, the custom
 # analyzer suite, the full test suite, a short-mode pass of the race gate's
-# serving scenarios, and a short fuzz smoke of the query-equivalence
-# targets (each holds EXACT equality between the kernelized tree paths and
-# the sequential-scan oracle).
-check: fmt-check
+# serving scenarios, the benchmark module's tests, and a short fuzz smoke
+# of the query-equivalence targets (each holds EXACT equality between the
+# kernelized tree paths and the sequential-scan oracle).
+check: fmt-check perfbench
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmdrlint ./...
 	$(GO) run ./cmd/mmdrgate -strict

@@ -45,10 +45,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		n         = fs.Int("n", 20000, "synthetic dataset size")
 		dim       = fs.Int("dim", 64, "synthetic dataset dimensionality")
 		seed      = fs.Int64("seed", 1, "synthetic dataset seed")
-		shards    = fs.Int("shards", 1, "index replicas, one worker goroutine each")
+		shards    = fs.Int("shards", 1, "coalescing workers, one goroutine each")
 		queue     = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth per shard (full queues answer 429)")
 		batch     = fs.Int("batch", serve.DefaultMaxBatch, "coalescing tile: flush to the fused engine at this many requests")
-		flush     = fs.Duration("flush", serve.DefaultFlushDelay, "micro-batch linger before a partial tile flushes")
 		workers   = fs.Int("workers", 1, "intra-shard parallelism of one flushed batch")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Shards:     *shards,
 		QueueDepth: *queue,
 		MaxBatch:   *batch,
-		FlushDelay: *flush,
 		Workers:    *workers,
 		Metrics:    reg,
 	})
@@ -80,16 +78,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "mmdrserve: %v\n", err)
 		return 1
 	}
-	st := srv.Stats()
-	fmt.Fprintf(stdout, "mmdrserve: serving %d points (dim %d) on http://%s — shards=%d queue=%d batch=%d flush=%v\n",
-		st.Points, st.Dim, bound, st.Shards, st.QueueDepth, st.MaxBatch, time.Duration(st.FlushUS)*time.Microsecond)
-	if ready != nil {
-		ready <- bound.String()
-	}
-
+	// Install the handler before announcing readiness: a SIGTERM sent as
+	// soon as "serving" appears must drain, not kill the process.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sig)
+	st := srv.Stats()
+	fmt.Fprintf(stdout, "mmdrserve: serving %d points (dim %d) on http://%s — shards=%d queue=%d batch=%d\n",
+		st.Points, st.Dim, bound, st.Shards, st.QueueDepth, st.MaxBatch)
+	if ready != nil {
+		ready <- bound.String()
+	}
 	s := <-sig
 	fmt.Fprintf(stdout, "mmdrserve: %v — draining\n", s)
 	if err := srv.Close(); err != nil {

@@ -29,10 +29,9 @@ type ServeReport struct {
 	Dim   int     `json:"dim"`
 	K     int     `json:"k"`
 
-	// Server shape under test (queue depth, coalescing tile, linger).
-	QueueDepth int   `json:"queue_depth"`
-	MaxBatch   int   `json:"max_batch"`
-	FlushUS    int64 `json:"flush_delay_us"`
+	// Server shape under test (queue depth, coalescing tile).
+	QueueDepth int `json:"queue_depth"`
+	MaxBatch   int `json:"max_batch"`
 
 	// Correctness gate: CorrectnessQueries answers fetched over HTTP, each
 	// compared bitwise (IDs and Float64bits of distances) against direct
@@ -217,7 +216,6 @@ func ServeBench(c Config) (*ServeReport, error) {
 		K:          c.K,
 		QueueDepth: serve.DefaultQueueDepth,
 		MaxBatch:   serve.DefaultMaxBatch,
-		FlushUS:    serve.DefaultFlushDelay.Microseconds(),
 	}
 
 	// Reference answers for the correctness gate, computed before any
@@ -260,7 +258,7 @@ func ServeBench(c Config) (*ServeReport, error) {
 		client := newLoadClient(concLevels[len(concLevels)-1] + 4)
 
 		// Correctness gate, once per shard count: the answer must not
-		// depend on which replica served it.
+		// depend on which shard served it.
 		if err := serveCorrectness(client, base, queries, c.K, wantKNN); err != nil {
 			srv.Close() //nolint:errcheck — already failing
 			return nil, fmt.Errorf("shards=%d: %w", shards, err)
@@ -293,8 +291,8 @@ func ServeBench(c Config) (*ServeReport, error) {
 	return rep, nil
 }
 
-// cloneModelBytes deep-copies a model through its serialized form, the
-// same isolation the server uses for its own replicas.
+// cloneModelBytes deep-copies a model through its serialized form, so
+// each server owns a model of its own.
 func cloneModelBytes(m *mmdr.Model) (*mmdr.Model, error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {

@@ -55,12 +55,12 @@ func tolerable(err error) bool {
 }
 
 // scenarioMixedLoad hammers one server with interleaved KNN, Range,
-// Insert, and Delete from many clients. Every request must complete (the
-// watchdog tracks each round trip) and the replicas must stay in
-// lockstep (divergence comes back as a request error).
+// Insert, and Delete from many clients: read tiles and writes contend for
+// the shared index lock. Every request must complete (the watchdog tracks
+// each round trip) without a data race.
 func scenarioMixedLoad(t *testing.T, w *verify.Watchdog, iters, clients int) {
 	model, queries := testModel(t, 500, 16, 101)
-	srv, err := New(model, Options{Shards: 3, MaxBatch: 4, FlushDelay: 50 * time.Microsecond})
+	srv, err := New(model, Options{Shards: 3, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func scenarioMixedLoad(t *testing.T, w *verify.Watchdog, iters, clients int) {
 func scenarioReloadStorm(t *testing.T, w *verify.Watchdog, iters, clients int) {
 	model, queries := testModel(t, 500, 16, 111)
 	alt, _ := testModel(t, 650, 16, 112)
-	srv, err := New(model, Options{Shards: 2, MaxBatch: 4, FlushDelay: 50 * time.Microsecond})
+	srv, err := New(model, Options{Shards: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +182,18 @@ func scenarioReloadStorm(t *testing.T, w *verify.Watchdog, iters, clients int) {
 	})
 }
 
-// scenarioOverloadThenDrain saturates a tiny admission window, then
-// closes the server while winners are still parked in the coalescing
-// buffer. The contract: every admitted request is answered, every
-// rejected request fails fast, nobody hangs — the exact schedule that
-// deadlocked an earlier version of Close (drain signal after
-// inflight.Wait instead of before).
+// scenarioOverloadThenDrain saturates a tiny admission window while the
+// held index write lock parks the winners, then closes the server with
+// them still parked. The contract: every admitted request is answered,
+// every rejected request fails fast, nobody hangs — Close must wait the
+// parked winners out, not abandon them.
 func scenarioOverloadThenDrain(t *testing.T, w *verify.Watchdog, clients int) {
 	model, queries := testModel(t, 400, 16, 121)
-	srv, err := New(model, Options{
-		Shards: 1, QueueDepth: 2, MaxBatch: 64, FlushDelay: time.Hour,
-	})
+	srv, err := New(model, Options{Shards: 1, QueueDepth: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.idxMu.Lock()
 	var wg sync.WaitGroup
 	var served, rejected int64
 	var mu sync.Mutex
@@ -218,13 +216,25 @@ func scenarioOverloadThenDrain(t *testing.T, w *verify.Watchdog, clients int) {
 			})
 		}(c)
 	}
-	// Close while the two credit winners are parked behind the hour-long
-	// linger: the drain signal must flush them out.
-	w.Wrap("close-under-load", func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
+	// Close once both credit winners are parked behind the write lock,
+	// and release the lock only once Close is draining.
+	for srv.shards[0].credits.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		w.Wrap("close-under-load", func() {
+			if err := srv.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+	}()
+	for !srv.Stats().Closing {
+		time.Sleep(time.Millisecond)
+	}
+	srv.idxMu.Unlock()
+	<-closed
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -300,7 +310,7 @@ func scenarioSlowClient(t *testing.T, w *verify.Watchdog) {
 // every client gets an answer or a clean refusal.
 func scenarioRacingClose(t *testing.T, w *verify.Watchdog, clients int) {
 	model, queries := testModel(t, 400, 16, 141)
-	srv, err := New(model, Options{Shards: 2, MaxBatch: 4, FlushDelay: 50 * time.Microsecond})
+	srv, err := New(model, Options{Shards: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

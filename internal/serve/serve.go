@@ -1,32 +1,28 @@
 // Package serve is the query-serving subsystem: a sharded, coalescing
-// front end that turns the mmdr library into a service. The concurrency
-// design is ownership-based rather than lock-based:
+// front end that turns the mmdr library into a service. One shared index
+// answers every request:
 //
-//   - The index is replicated across N shards. Each shard's replica is
-//     owned by exactly one worker goroutine (per-shard goroutine affinity)
-//     — after startup no index is ever touched by two goroutines, so
-//     queries run without read locks and with warm per-shard caches.
-//   - Read requests are dispatched round-robin and coalesced inside the
-//     shard worker into micro-batches that flush into the fused
-//     BatchKNN/BatchRange engine when a tile fills or a linger deadline
-//     (~200µs) passes — under load the batch kernels amortize partition
-//     scans across requests, under light load latency stays bounded.
-//   - Writes (Insert/Delete) and model swaps go through a single
-//     sequencer goroutine that broadcasts each mutation to every shard in
-//     one global order, keeping the replicas in lockstep. Replicas answer
-//     identically because they start from gob-identical models and apply
-//     the identical write sequence.
-//   - Admission control is a bounded queue per shard plus a bounded write
-//     queue; when every queue is full the request is rejected immediately
-//     (HTTP 429) instead of growing unbounded in-flight state.
-//   - Hot reload builds the new replica set off to the side, then swaps it
-//     through the sequencer like any other write: each in-flight request
-//     runs entirely against one snapshot, never a mix.
+//   - The server holds one *mmdr.Index behind one sync.RWMutex. Read tiles
+//     run under the read lock, so the shards' tiles run side by side;
+//     Insert, Delete and Reload run under the write lock.
+//   - Read requests are dispatched round-robin to N shard workers, one
+//     goroutine each. A worker drains its queue greedily into a pending
+//     tile and flushes it into the fused BatchKNN/BatchRange engine when
+//     the tile fills or the queue runs dry. Requests that arrive while a
+//     tile runs wait in the queue and form the next tile, so tiles fill
+//     under load and a lone request never waits on a timer.
+//   - Admission control is a bounded credit count per shard for reads and
+//     a semaphore of QueueDepth slots for writes; when they are exhausted
+//     the request is rejected immediately (HTTP 429) instead of growing
+//     unbounded in-flight state.
+//   - Hot reload builds the new index off to the side, then swaps it in
+//     under the write lock: every tile runs entirely against one index,
+//     never a mix.
 //
 // Close drains in reverse admission order: new requests are refused, the
-// HTTP layer quiesces, in-flight requests finish against live workers, and
-// only then do the workers and sequencer exit. internal/verify's leak and
-// watchdog helpers hold this package to that contract under `-race`
+// HTTP layer quiesces, in-flight requests finish against live workers,
+// and only then do the workers exit. internal/verify's leak and watchdog
+// helpers hold this package to that contract under `-race`
 // (`make racegate`).
 package serve
 
@@ -45,7 +41,6 @@ import (
 const (
 	DefaultQueueDepth = 256
 	DefaultMaxBatch   = 8 // matches the fused engine's batch tile
-	DefaultFlushDelay = 200 * time.Microsecond
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -58,26 +53,24 @@ var (
 
 // Options configures a Server.
 type Options struct {
-	// Shards is the number of index replicas, each owned by one worker
-	// goroutine. 0 selects 1. More shards buy read throughput at the cost
-	// of replica memory and write fan-out.
+	// Shards is the number of coalescing workers, one goroutine each, that
+	// share the index. 0 selects 1. More shards let more read tiles run at
+	// once.
 	Shards int
-	// QueueDepth bounds each shard's request queue and the write queue;
-	// full queues reject (ErrOverloaded). 0 selects DefaultQueueDepth.
+	// QueueDepth bounds each shard's admitted reads and the writes waiting
+	// for the index; beyond it requests are rejected (ErrOverloaded). 0
+	// selects DefaultQueueDepth.
 	QueueDepth int
 	// MaxBatch is the coalescing tile: a shard flushes its pending batch
 	// to the fused engine when this many compatible requests are buffered.
 	// 0 selects DefaultMaxBatch.
 	MaxBatch int
-	// FlushDelay is the micro-batch linger: a partial batch flushes this
-	// long after its first request arrived. 0 selects DefaultFlushDelay.
-	FlushDelay time.Duration
 	// Workers bounds the intra-shard parallelism of one flushed batch
 	// (the BatchKNN worker count). 0 selects 1 — the shard itself is the
 	// unit of parallelism.
 	Workers int
 	// Metrics, when non-nil, receives per-endpoint latency histograms,
-	// admission counters, and the replicas' per-operation instruments.
+	// admission counters, and the index's per-operation instruments.
 	Metrics *metrics.Registry
 }
 
@@ -91,48 +84,33 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
 	}
-	if o.FlushDelay <= 0 {
-		o.FlushDelay = DefaultFlushDelay
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
 	return o
 }
 
-// opKind discriminates queued requests.
+// opKind discriminates queued reads.
 type opKind uint8
 
 const (
 	opKNN opKind = iota
 	opRange
-	opInsert
-	opDelete
-	opSwap
 )
 
-// request is one queued operation. done is buffered (capacity 1) so a
-// worker can always respond without blocking, even if the waiter is gone.
+// request is one queued read. done is buffered (capacity 1) so a worker
+// can always respond without blocking, even if the waiter is gone.
 type request struct {
 	kind opKind
-	q    []float64 // knn/range query vector, insert point
+	q    []float64 // query vector
 	k    int       // knn
 	r    float64   // range radius
-	id   int       // delete target
-
-	// swap payload: one fresh replica per shard, assigned by the sequencer.
-	newIdx  *mmdr.Index
-	newDim  int
-	newN    int
-	replica []*mmdr.Index
 
 	done chan response
 }
 
 type response struct {
 	neighbors []mmdr.Neighbor
-	id        int
-	found     bool
 	err       error
 }
 
@@ -148,19 +126,24 @@ type Server struct {
 	inflight sync.WaitGroup
 	closed   chan struct{} // closed when shutdown completes
 
-	shards []*shard
-	next   atomic.Uint64 // round-robin read dispatch cursor
-	writeQ chan *request
-
-	drained chan struct{} // tells workers to stop lingering and flush eagerly
-	stop    chan struct{} // tells workers + sequencer to drain and exit
-	wg      sync.WaitGroup
-
-	// Live model identity, maintained by the sequencer/swap path so no
-	// reader ever touches a Model concurrently with writers.
+	// idxMu guards idx: read tiles hold it shared, Insert, Delete and
+	// Reload exclusively. dim, points and gen change only under the write
+	// lock, together with idx; they are atomics so admission checks and
+	// Stats read them without queueing behind a writer.
+	idxMu  sync.RWMutex
+	idx    *mmdr.Index
 	dim    atomic.Int64
 	points atomic.Int64
 	gen    atomic.Int64
+
+	// writeSlots admits writes: a write holds a slot while it waits for
+	// and runs under the write lock, and a full semaphore rejects.
+	writeSlots chan struct{}
+
+	shards []*shard
+	next   atomic.Uint64 // round-robin read dispatch cursor
+	stop   chan struct{} // tells workers to exit
+	wg     sync.WaitGroup
 
 	met serveMetrics
 
@@ -174,7 +157,7 @@ type serveMetrics struct {
 	knn, rng, ins, del, reload *metrics.Op
 	rejected, errs             *metrics.Counter
 	batches, batchedQueries    *metrics.Counter
-	flushFull, flushTimer      *metrics.Counter
+	flushFull                  *metrics.Counter
 	shardsG, genG, pointsG     *metrics.Gauge
 }
 
@@ -193,59 +176,51 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 		batches:        reg.Counter("serve:batches"),
 		batchedQueries: reg.Counter("serve:batched_queries"),
 		flushFull:      reg.Counter("serve:flush_full"),
-		flushTimer:     reg.Counter("serve:flush_timer"),
 		shardsG:        reg.Gauge("serve:shards"),
 		genG:           reg.Gauge("serve:generation"),
 		pointsG:        reg.Gauge("serve:points"),
 	}
 }
 
-// New builds a server over model: one index replica per shard (the model
-// itself backs shard 0; further shards get gob-deep-copies so writes stay
-// isolated per replica), then starts the shard workers and the write
-// sequencer. The server owns the model afterwards — do not query or
-// mutate it directly.
+// New builds the server's index over model and starts the shard workers.
+// The server owns the model afterwards — do not query or mutate it
+// directly.
 func New(model *mmdr.Model, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:    opts,
-		closed:  make(chan struct{}),
-		writeQ:  make(chan *request, opts.QueueDepth),
-		drained: make(chan struct{}),
-		stop:    make(chan struct{}),
-		met:     newServeMetrics(opts.Metrics),
+		opts:       opts,
+		closed:     make(chan struct{}),
+		writeSlots: make(chan struct{}, opts.QueueDepth),
+		stop:       make(chan struct{}),
+		met:        newServeMetrics(opts.Metrics),
 	}
-	replicas, err := s.buildReplicas(model)
+	idx, err := s.newIndex(model)
 	if err != nil {
 		return nil, err
 	}
-	s.shards = make([]*shard, opts.Shards)
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			id:    i,
-			queue: make(chan *request, opts.QueueDepth),
-			idx:   replicas[i],
-		}
-	}
+	s.idx = idx
 	s.dim.Store(int64(model.Dim()))
 	s.points.Store(int64(model.N()))
-	s.met.setGauges(len(s.shards), 0, int64(model.N()))
+	s.shards = make([]*shard, opts.Shards)
+	for i := range s.shards {
+		s.shards[i] = &shard{queue: make(chan *request, opts.QueueDepth)}
+	}
+	s.publishGauges()
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go s.runShard(sh)
 	}
-	s.wg.Add(1)
-	go s.runSequencer()
 	return s, nil
 }
 
-func (m *serveMetrics) setGauges(shards int, gen, points int64) {
-	if m.shardsG == nil {
+// publishGauges copies the live model identity into the gauges.
+func (s *Server) publishGauges() {
+	if s.met.shardsG == nil {
 		return
 	}
-	m.shardsG.Set(int64(shards))
-	m.genG.Set(gen)
-	m.pointsG.Set(points)
+	s.met.shardsG.Set(int64(len(s.shards)))
+	s.met.genG.Set(s.gen.Load())
+	s.met.pointsG.Set(s.points.Load())
 }
 
 // record accounts one endpoint latency (nil-safe).
@@ -289,7 +264,9 @@ func (s *Server) nextShard(n int) int {
 // credit is held from enqueue until the answer is sent, so requests the
 // worker has already moved into its coalescing buffer still count against
 // QueueDepth. Without this the worker would launder the bounded queue
-// into unbounded pending state and overload could never reject.
+// into unbounded pending state and overload could never reject. Every
+// queued request holds a credit, so a credit guarantees a free queue slot
+// and the send never blocks.
 func (s *Server) submitRead(req *request) (response, error) {
 	if !s.begin() {
 		return response{}, ErrClosed
@@ -304,32 +281,11 @@ func (s *Server) submitRead(req *request) (response, error) {
 			sh.credits.Add(-1)
 			continue
 		}
-		select {
-		case sh.queue <- req:
-			return <-req.done, nil
-		default:
-			// Queue slots are also taken by sequencer broadcasts, which
-			// hold no credit; give this one back and try the next shard.
-			sh.credits.Add(-1)
-		}
+		sh.queue <- req
+		return <-req.done, nil
 	}
 	inc(s.met.rejected)
 	return response{}, ErrOverloaded
-}
-
-// submitWrite hands a mutation to the sequencer and waits.
-func (s *Server) submitWrite(req *request) (response, error) {
-	if !s.begin() {
-		return response{}, ErrClosed
-	}
-	defer s.end()
-	select {
-	case s.writeQ <- req:
-		return <-req.done, nil
-	default:
-		inc(s.met.rejected)
-		return response{}, ErrOverloaded
-	}
 }
 
 // checkDim validates a vector against the live model dimensionality.
@@ -386,49 +342,11 @@ func (s *Server) Range(q []float64, r float64) ([]mmdr.Neighbor, error) {
 	return resp.neighbors, nil
 }
 
-// Insert adds a point to every replica (one global write order) and
-// returns its row id.
-func (s *Server) Insert(p []float64) (int, error) {
-	start := time.Now()
-	if err := s.checkDim(p); err != nil {
-		return 0, err
-	}
-	req := &request{kind: opInsert, q: p, done: make(chan response, 1)}
-	resp, err := s.submitWrite(req)
-	if err != nil {
-		return 0, err
-	}
-	record(s.met.ins, start)
-	if resp.err != nil {
-		inc(s.met.errs)
-		return 0, resp.err
-	}
-	return resp.id, nil
-}
-
-// Delete removes point id from every replica; found reports whether the
-// point was indexed.
-func (s *Server) Delete(id int) (bool, error) {
-	start := time.Now()
-	req := &request{kind: opDelete, id: id, done: make(chan response, 1)}
-	resp, err := s.submitWrite(req)
-	if err != nil {
-		return false, err
-	}
-	record(s.met.del, start)
-	if resp.err != nil {
-		inc(s.met.errs)
-		return false, resp.err
-	}
-	return resp.found, nil
-}
-
 // Status is a point-in-time view of the server for /statusz.
 type Status struct {
 	Shards     int   `json:"shards"`
 	QueueDepth int   `json:"queue_depth"`
 	MaxBatch   int   `json:"max_batch"`
-	FlushUS    int64 `json:"flush_delay_us"`
 	Workers    int   `json:"workers"`
 	Dim        int   `json:"dim"`
 	Points     int64 `json:"points"`
@@ -445,7 +363,6 @@ func (s *Server) Stats() Status {
 		Shards:     len(s.shards),
 		QueueDepth: s.opts.QueueDepth,
 		MaxBatch:   s.opts.MaxBatch,
-		FlushUS:    s.opts.FlushDelay.Microseconds(),
 		Workers:    s.opts.Workers,
 		Dim:        int(s.dim.Load()),
 		Points:     s.points.Load(),
@@ -455,14 +372,12 @@ func (s *Server) Stats() Status {
 }
 
 // Close shuts the server down in drain order: refuse new requests, quiesce
-// the HTTP layer, tell workers to flush their lingering partial batches,
-// wait for every in-flight request to finish against live workers, then
-// stop the workers and sequencer and wait for them to exit. The drain
-// signal before inflight.Wait matters: requests parked in a coalescing
-// buffer are answered only by a flush, and with a long FlushDelay that
-// flush would otherwise come after the wait that needs it — a deadlock.
-// Safe to call concurrently and repeatedly; every call returns only after
-// shutdown completed.
+// the HTTP layer, wait for every in-flight request to finish against live
+// workers, then stop the workers and wait for them to exit. A worker
+// flushes whenever its queue runs dry, so no admitted request waits on
+// anything but the tile ahead of it and the index lock. Safe to call
+// concurrently and repeatedly; every call returns only after shutdown
+// completed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closing {
@@ -474,7 +389,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	s.closeHTTP()
-	close(s.drained)
 	s.inflight.Wait()
 	close(s.stop)
 	s.wg.Wait()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"mmdr"
 	"mmdr/internal/datagen"
@@ -95,7 +94,7 @@ func TestServedAnswersBitwiseIdentical(t *testing.T) {
 	want := directAnswers(t, ref, queries, k)
 
 	for _, shards := range []int{1, 3} {
-		srv, err := New(model, Options{Shards: shards, MaxBatch: 4, FlushDelay: 100 * time.Microsecond})
+		srv, err := New(model, Options{Shards: shards, MaxBatch: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,34 +164,67 @@ func TestServedRangeMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestWritesKeepReplicasConsistent(t *testing.T) {
+func TestServedReadsSeeServedWrites(t *testing.T) {
 	model, queries := testModel(t, 600, 16, 11)
+	// direct applies the same writes as the server, from its own copy.
+	direct, err := cloneModel(t, model).NewIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := New(model, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Insert a few new points; ids must be assigned consistently.
+	const k = 5
+	// Every served answer must be bitwise what the direct index answers:
+	// the queries include the inserted points, so a read that missed a
+	// write would lose or keep a distance-0 neighbor.
+	sameAsDirect := func(what string) {
+		t.Helper()
+		want, err := direct.BatchKNN(flatten(queries), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			got, err := srv.KNN(q, k)
+			if err != nil {
+				t.Fatalf("%s: knn %d: %v", what, i, err)
+			}
+			sameNeighbors(t, what, got, want[i])
+		}
+	}
+
+	// Insert a few new points; ids must match the direct index's.
 	base := srv.Stats().Points
 	var ids []int
 	for i := 0; i < 5; i++ {
-		p := append([]float64(nil), queries[i]...)
-		id, err := srv.Insert(p)
+		id, err := srv.Insert(append([]float64(nil), queries[i]...))
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
+		}
+		want, err := direct.Insert(append([]float64(nil), queries[i]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != want {
+			t.Fatalf("insert %d: served id %d, direct id %d", i, id, want)
 		}
 		ids = append(ids, id)
 	}
 	if got := srv.Stats().Points; got != base+5 {
 		t.Errorf("points gauge %d, want %d", got, base+5)
 	}
-	// Every replica must now answer identically — the inserted points are
-	// their own nearest neighbors on whichever shard the query lands.
+	sameAsDirect("knn after inserts")
+
 	for _, id := range ids {
 		found, err := srv.Delete(id)
 		if err != nil || !found {
 			t.Fatalf("delete %d: found=%v err=%v", id, found, err)
+		}
+		if _, err := direct.Delete(id); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if found, err := srv.Delete(ids[0]); err != nil || found {
@@ -201,6 +233,7 @@ func TestWritesKeepReplicasConsistent(t *testing.T) {
 	if got := srv.Stats().Points; got != base {
 		t.Errorf("points gauge %d after deletes, want %d", got, base)
 	}
+	sameAsDirect("knn after deletes")
 }
 
 func TestReloadSwapsModel(t *testing.T) {
@@ -239,19 +272,20 @@ func TestReloadSwapsModel(t *testing.T) {
 
 func TestOverloadRejects(t *testing.T) {
 	model, queries := testModel(t, 400, 16, 31)
-	// One shard, two admission credits, giant linger: exactly two requests
-	// win credits and park in the coalescing buffer (the linger never
-	// fires, the tile never fills), so every other request must reject
-	// immediately. Admission counts parked requests — credits are held
-	// until the answer is sent, not just while queued — so the worker
-	// cannot launder the bounded queue into unbounded pending state.
-	srv, err := New(model, Options{
-		Shards: 1, QueueDepth: 2, MaxBatch: 64, FlushDelay: time.Hour,
-	})
+	// One shard, two admission credits, and the index write lock held:
+	// exactly two requests win credits and park (the worker's tile waits
+	// for the read lock), so every other request must reject immediately.
+	// Admission counts parked requests — credits are held until the answer
+	// is sent, not just while queued — so the worker cannot launder the
+	// bounded queue into unbounded pending state.
+	srv, err := New(model, Options{Shards: 1, QueueDepth: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.idxMu.Lock()
+	unlock := sync.OnceFunc(srv.idxMu.Unlock)
+	defer unlock() // before Close, which waits for the parked pair
 
 	const clients = 64
 	errs := make(chan error, clients)
@@ -261,7 +295,8 @@ func TestOverloadRejects(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	// The two credit winners block until a flush; all 62 losers reject.
+	// The two credit winners block until the lock is released; all 62
+	// losers reject.
 	for i := 0; i < clients-2; i++ {
 		switch err := <-errs; err {
 		case ErrOverloaded:
@@ -271,14 +306,56 @@ func TestOverloadRejects(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	// Close's drain signal flushes the parked pair; both must be answered,
-	// not abandoned (the other half of the admission contract).
+	// Once the lock is released, Close must answer the parked pair, not
+	// abandon it (the other half of the admission contract).
+	unlock()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Errorf("parked request failed: %v", err)
+		}
+	}
+}
+
+func TestWriteOverloadRejects(t *testing.T) {
+	model, queries := testModel(t, 400, 16, 33)
+	const depth = 3
+	srv, err := New(model, Options{QueueDepth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// With the index write lock held, admitted writes park on it holding
+	// their slots: exactly QueueDepth are admitted and every further write
+	// must reject at once.
+	srv.idxMu.Lock()
+	unlock := sync.OnceFunc(srv.idxMu.Unlock)
+	defer unlock() // before Close, which waits for the parked writes
+
+	const writers = 16
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func(i int) {
+			var err error
+			if i%2 == 0 {
+				_, err = srv.Insert(append([]float64(nil), queries[i%len(queries)]...))
+			} else {
+				_, err = srv.Delete(i)
+			}
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < writers-depth; i++ {
+		if err := <-errs; err != ErrOverloaded {
+			t.Fatalf("write %d beyond the %d slots: %v, want ErrOverloaded", i, depth, err)
+		}
+	}
+	unlock()
+	for i := 0; i < depth; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("admitted write failed: %v", err)
 		}
 	}
 }

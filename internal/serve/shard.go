@@ -1,21 +1,17 @@
 package serve
 
 import (
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"mmdr"
 )
 
-// shard is one index replica plus its request queue. After the worker
-// goroutine starts, idx and the coalescing buffers are touched by that
-// goroutine only — per-shard goroutine affinity is the package's whole
-// synchronization story for reads.
+// shard is one coalescing worker's request queue plus its pending tile.
+// After the worker goroutine starts, the coalescing buffers are touched
+// by that goroutine only; the index it queries is shared, under the
+// server's read lock.
 type shard struct {
-	id    int
 	queue chan *request
-	idx   *mmdr.Index
 
 	// credits counts reads admitted to this shard and not yet answered —
 	// queued or parked in the coalescing buffer. Admission caps it at
@@ -40,15 +36,11 @@ func (sh *shard) compatible(req *request) bool {
 	if req.kind != head.kind || len(req.q) != len(head.q) {
 		return false
 	}
-	switch req.kind {
-	case opKNN:
+	if req.kind == opKNN {
 		return req.k == head.k
-	case opRange:
-		//mmdr:ignore floatcmp batch compatibility groups by the exact radius the client sent; any tolerance would merge queries with different answers into one fused scan
-		return req.r == head.r
-	default:
-		return false
 	}
+	//mmdr:ignore floatcmp batch compatibility groups by the exact radius the client sent; any tolerance would merge queries with different answers into one fused scan
+	return req.r == head.r
 }
 
 // gather builds the flat row-major query block of the pending batch into
@@ -63,107 +55,49 @@ func gather(dst []float64, pending []*request) []float64 {
 	return dst
 }
 
-// runShard is the worker loop: drain the queue greedily into the pending
-// batch, flush on tile-full, linger-timeout, or an incompatible request;
-// execute writes and swaps in arrival order relative to the reads around
-// them. On stop it drains the queue (everything admitted gets an answer),
-// flushes, and exits.
+// runShard is the worker loop: wait for a request, drain the queue
+// greedily into the pending tile, and flush once the queue runs dry.
+// Requests that arrive while a tile runs queue up and form the next tile,
+// so tiles fill under load without a timer. Close stops the workers only
+// after every admitted request was answered, so on stop the queue and the
+// tile are empty.
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	// disarm stops the linger timer, draining a concurrent fire so the
-	// next arm never sees a stale tick (pre-1.23 timer semantics).
-	disarm := func() {
-		if !armed {
-			return
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		armed = false
-	}
-	doFlush := func() {
-		disarm()
-		s.flushShard(sh)
-	}
-	// After Close signals the drain, stop lingering: flush after every
-	// dispatch so requests already parked in pending get their answers
-	// while Close waits on them.
-	draining := false
-	dispatch := func(req *request) {
-		switch req.kind {
-		case opKNN, opRange:
-			if !sh.compatible(req) {
-				doFlush()
-			}
-			sh.pending = append(sh.pending, req)
-			if draining || len(sh.pending) >= s.opts.MaxBatch {
-				if !draining {
-					inc(s.met.flushFull)
-				}
-				doFlush()
-			} else if len(sh.pending) == 1 {
-				timer.Reset(s.opts.FlushDelay)
-				armed = true
-			}
-		default:
-			// Writes and swaps serialize with the reads around them:
-			// everything admitted before them must see pre-write state.
-			doFlush()
-			s.applyWrite(sh, req)
-		}
-	}
-	drainedCh := s.drained
 	for {
 		select {
 		case req := <-sh.queue:
-			dispatch(req)
-			// Greedy drain: fill the tile from whatever is already
-			// queued before going back to a blocking wait.
-		drain:
-			for len(sh.pending) > 0 {
-				select {
-				case req := <-sh.queue:
-					dispatch(req)
-				default:
-					break drain
-				}
-			}
-		case <-drainedCh:
-			draining = true
-			drainedCh = nil // fires once; a nil channel never selects
-			doFlush()
-		case <-timer.C:
-			armed = false
-			if len(sh.pending) > 0 {
-				inc(s.met.flushTimer)
-			}
-			s.flushShard(sh)
+			s.add(sh, req)
 		case <-s.stop:
-			// No new admissions can occur (Close drained in-flight
-			// requests first), so the queue empties in one pass.
-			for {
-				select {
-				case req := <-sh.queue:
-					dispatch(req)
-				default:
-					doFlush()
-					return
-				}
+			return
+		}
+	drain:
+		for {
+			select {
+			case req := <-sh.queue:
+				s.add(sh, req)
+			default:
+				break drain
 			}
 		}
+		s.flushShard(sh)
 	}
 }
 
-// flushShard executes the pending batch against the shard's replica and
-// distributes the answers. No-op on an empty batch.
+// add appends req to the pending tile, flushing first when req cannot
+// join the tile and afterwards when the tile is full.
+func (s *Server) add(sh *shard, req *request) {
+	if !sh.compatible(req) {
+		s.flushShard(sh)
+	}
+	sh.pending = append(sh.pending, req)
+	if len(sh.pending) >= s.opts.MaxBatch {
+		inc(s.met.flushFull)
+		s.flushShard(sh)
+	}
+}
+
+// flushShard executes the pending batch against the shared index under
+// the read lock and distributes the answers. No-op on an empty batch.
 func (s *Server) flushShard(sh *shard) {
 	n := len(sh.pending)
 	if n == 0 {
@@ -173,12 +107,13 @@ func (s *Server) flushShard(sh *shard) {
 	sh.qbuf = gather(sh.qbuf, sh.pending)
 	var results [][]mmdr.Neighbor
 	var err error
-	switch head.kind {
-	case opKNN:
-		results, err = sh.idx.BatchKNN(sh.qbuf, head.k)
-	case opRange:
-		results, err = sh.idx.BatchRange(sh.qbuf, head.r)
+	s.idxMu.RLock()
+	if head.kind == opKNN {
+		results, err = s.idx.BatchKNN(sh.qbuf, head.k)
+	} else {
+		results, err = s.idx.BatchRange(sh.qbuf, head.r)
 	}
+	s.idxMu.RUnlock()
 	if s.met.batches != nil {
 		s.met.batches.Add(1)
 		s.met.batchedQueries.Add(int64(n))
@@ -193,22 +128,4 @@ func (s *Server) flushShard(sh *shard) {
 		sh.pending[i] = nil
 	}
 	sh.pending = sh.pending[:0]
-}
-
-// applyWrite executes one sequenced mutation (or swap) on this shard's
-// replica and acks the sequencer.
-func (s *Server) applyWrite(sh *shard, req *request) {
-	switch req.kind {
-	case opInsert:
-		id, err := sh.idx.Insert(req.q)
-		req.done <- response{id: id, err: err}
-	case opDelete:
-		found, err := sh.idx.Delete(req.id)
-		req.done <- response{found: found, err: err}
-	case opSwap:
-		sh.idx = req.newIdx
-		req.done <- response{}
-	default:
-		req.done <- response{err: fmt.Errorf("serve: shard %d: unknown op %d", sh.id, req.kind)}
-	}
 }

@@ -1,147 +1,100 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
 
 	"mmdr"
-	"mmdr/internal/pool"
 )
 
-// runSequencer is the single write path: every mutation (Insert, Delete,
-// model swap) is broadcast to all shards from this one goroutine, so each
-// replica applies the identical write sequence in the identical order —
-// the invariant that keeps replicas answering identically. Broadcast sends
-// block (shard workers always drain), so a write admitted into writeQ is
-// never half-applied.
-func (s *Server) runSequencer() {
-	defer s.wg.Done()
-	for {
-		select {
-		case req := <-s.writeQ:
-			s.broadcast(req)
-		case <-s.stop:
-			// Close drained in-flight requests before signaling stop, so
-			// the queue empties in one pass.
-			for {
-				select {
-				case req := <-s.writeQ:
-					s.broadcast(req)
-				default:
-					return
-				}
-			}
-		}
+// write runs apply in the caller under the index write lock. The write
+// holds one of QueueDepth slots while it waits for the lock and runs, and
+// is rejected (ErrOverloaded) when every slot is taken.
+func (s *Server) write(apply func()) error {
+	if !s.begin() {
+		return ErrClosed
 	}
+	defer s.end()
+	select {
+	case s.writeSlots <- struct{}{}:
+	default:
+		inc(s.met.rejected)
+		return ErrOverloaded
+	}
+	defer func() { <-s.writeSlots }()
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	apply()
+	return nil
 }
 
-// broadcast fans one mutation out to every shard, collects the acks, and
-// answers the caller with the agreed result. Replica divergence (Insert
-// ids or Delete outcomes disagreeing across shards) is a serving-layer
-// invariant violation, reported as an error rather than papered over.
-func (s *Server) broadcast(req *request) {
-	n := len(s.shards)
-	ack := make(chan response, n)
-	for i, sh := range s.shards {
-		sub := &request{kind: req.kind, q: req.q, id: req.id, done: ack}
-		if req.kind == opSwap {
-			sub.newIdx = req.replica[i]
-		}
-		sh.queue <- sub // blocking: broadcasts are all-or-nothing
+// Insert adds a point to the index and returns its row id.
+func (s *Server) Insert(p []float64) (int, error) {
+	start := time.Now()
+	if err := s.checkDim(p); err != nil {
+		return 0, err
 	}
-	resps := make([]response, n)
-	for i := 0; i < n; i++ {
-		resps[i] = <-ack
-	}
-	first := resps[0]
-	for _, r := range resps[1:] {
-		if r.err != nil && first.err == nil {
-			first = r
-		}
-	}
-	if first.err == nil {
-		for _, r := range resps[1:] {
-			if r.id != resps[0].id || r.found != resps[0].found {
-				inc(s.met.errs)
-				req.done <- response{err: fmt.Errorf("serve: replicas diverged on op %d — serving state is suspect", req.kind)}
-				return
-			}
-		}
-	}
-	if first.err == nil {
-		switch req.kind {
-		case opInsert:
+	var id int
+	var err error
+	if werr := s.write(func() {
+		if id, err = s.idx.Insert(p); err == nil {
 			s.points.Add(1)
-		case opDelete:
-			if first.found {
-				s.points.Add(-1)
-			}
-		case opSwap:
-			s.dim.Store(int64(req.newDim))
-			s.points.Store(int64(req.newN))
-			s.gen.Add(1)
+			s.publishGauges()
 		}
-		if s.met.pointsG != nil {
-			s.met.pointsG.Set(s.points.Load())
-			s.met.genG.Set(s.gen.Load())
-		}
+	}); werr != nil {
+		return 0, werr
 	}
-	req.done <- first
+	record(s.met.ins, start)
+	if err != nil {
+		inc(s.met.errs)
+		return 0, err
+	}
+	return id, nil
 }
 
-// buildReplicas materializes one index replica per shard from model.
-// Shard 0 is backed by the model itself; the rest get gob-deep-copied
-// models so per-replica Inserts never share backing arrays. Replica
-// builds fan out across shards (each build itself runs at the configured
-// intra-shard worker bound, keeping peak CPU roughly constant).
-func (s *Server) buildReplicas(model *mmdr.Model) ([]*mmdr.Index, error) {
-	n := s.opts.Shards
-	models := make([]*mmdr.Model, n)
-	models[0] = model
-	if n > 1 {
-		var buf bytes.Buffer
-		if err := model.Save(&buf); err != nil {
-			return nil, fmt.Errorf("serve: snapshotting model for replicas: %w", err)
+// Delete removes point id from the index; found reports whether the point
+// was indexed.
+func (s *Server) Delete(id int) (bool, error) {
+	start := time.Now()
+	var found bool
+	var err error
+	if werr := s.write(func() {
+		if found, err = s.idx.Delete(id); found {
+			s.points.Add(-1)
+			s.publishGauges()
 		}
-		raw := buf.Bytes()
-		for i := 1; i < n; i++ {
-			m, err := mmdr.Load(bytes.NewReader(raw))
-			if err != nil {
-				return nil, fmt.Errorf("serve: replica %d model copy: %w", i, err)
-			}
-			models[i] = m
-		}
+	}); werr != nil {
+		return false, werr
 	}
-	replicas := make([]*mmdr.Index, n)
-	errs := make([]error, n)
-	pool.Run(n, n, func(i int) {
-		idx, err := models[i].NewIndex(mmdr.WithParallelism(s.opts.Workers))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if s.opts.Metrics != nil {
-			idx.SetRuntimeMetrics(s.opts.Metrics)
-		}
-		replicas[i] = idx
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("serve: building replica %d: %w", i, err)
-		}
+	record(s.met.del, start)
+	if err != nil {
+		inc(s.met.errs)
+		return false, err
 	}
-	return replicas, nil
+	return found, nil
 }
 
-// Reload hot-swaps the serving model: the new replica set is built
-// entirely off to the side (queries keep flowing against the old
-// snapshot), then installed through the write sequencer like any other
-// mutation. Each shard swaps between requests, so every request — and
-// every coalesced batch — executes against exactly one snapshot. Writes
-// sequenced before the swap apply to the outgoing replicas and are
-// superseded wholesale; the new model is the new truth.
+// newIndex builds a serving index over model at the configured intra-tile
+// parallelism, attached to the server's metrics registry.
+func (s *Server) newIndex(model *mmdr.Model) (*mmdr.Index, error) {
+	idx, err := model.NewIndex(mmdr.WithParallelism(s.opts.Workers))
+	if err != nil {
+		return nil, fmt.Errorf("serve: building index: %w", err)
+	}
+	if s.opts.Metrics != nil {
+		idx.SetRuntimeMetrics(s.opts.Metrics)
+	}
+	return idx, nil
+}
+
+// Reload hot-swaps the serving model: the new index is built entirely off
+// to the side (queries keep flowing against the old one), then swapped in
+// together with the model identity under the write lock. Every tile runs
+// against exactly one index. Writes applied before the swap are
+// superseded wholesale; the new model is the new truth. A reload takes no
+// write slot: admission backpressure is for cheap requests, not for an
+// index already built.
 //
 // The server owns the model afterwards.
 func (s *Server) Reload(model *mmdr.Model) error {
@@ -150,24 +103,19 @@ func (s *Server) Reload(model *mmdr.Model) error {
 		return ErrClosed
 	}
 	defer s.end()
-	replicas, err := s.buildReplicas(model)
+	idx, err := s.newIndex(model)
 	if err != nil {
 		return err
 	}
-	req := &request{
-		kind:    opSwap,
-		replica: replicas,
-		newDim:  model.Dim(),
-		newN:    model.N(),
-		done:    make(chan response, 1),
-	}
-	// Blocking send: a reload that already built its replicas must land
-	// (the sequencer always drains; admission backpressure is for cheap
-	// requests, not for work already done).
-	s.writeQ <- req
-	resp := <-req.done
+	s.idxMu.Lock()
+	s.idx = idx
+	s.dim.Store(int64(model.Dim()))
+	s.points.Store(int64(model.N()))
+	s.gen.Add(1)
+	s.publishGauges()
+	s.idxMu.Unlock()
 	record(s.met.reload, start)
-	return resp.err
+	return nil
 }
 
 // ReloadFrom reads a model (mmdr.Save format) from r and hot-swaps it in.
