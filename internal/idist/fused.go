@@ -20,14 +20,23 @@ import (
 // query active there via the multi-query kernel (matrix.SqDistRowToSel) —
 // each row is read once per tile instead of once per query.
 //
-// Equivalence: every query keeps its own radius schedule state, annulus
-// edges, early-abandon bounds, and stop condition, all computed by the same
-// expressions in the same order as the per-query path; rows reach a query in
-// ascending global position, which is exactly the per-query visit order
-// (lo-extension keys precede hi-extension keys). Identical candidate
-// sequences with identical bounds drive identical heap evolution, so fused
-// answers are bit-identical to a sequential query loop — locked down by the
-// equivalence tests and the FuzzBatchKNNvsKNN target.
+// Radius schedule: the tile does not advance in lockstep. Each query opens
+// at its own first radius, a density estimate of its k-th neighbor distance
+// (firstRadius), and after every round whose stop rule fails multiplies its
+// own radius by radiusGrowth (stopOrGrow). The solo search keeps the
+// paper's fixed deltaR step, which at low reduced dimensionality makes its
+// first annulus far wider than the k-th neighbor distance; the per-query
+// estimate starts the fused scan near that distance instead.
+//
+// Equivalence: both searches are exact. A query stops only once its k-th
+// squared distance lies inside its sphere, and by then every row its sphere
+// reaches has been evaluated, so any row left unseen is strictly farther
+// than the k-th neighbor. The top-k accumulator keeps the k smallest by
+// (Dist, ID), so the answer does not depend on the order rows arrive in,
+// and the shared kernels return bit-identical squared distances on both
+// paths (an early-abandoned result is only ever one that exceeds the k-th).
+// Fused answers are therefore bit-identical to a sequential query loop —
+// locked down by the equivalence tests and the FuzzBatchKNNvsKNN target.
 //
 // Cost accounting: DistanceOps are exact (one per query-candidate pair, as
 // in the per-query path). Page reads count each leaf the fused scan touches
@@ -43,6 +52,10 @@ import (
 // cache-resident at paper-scale dimensionalities.
 const batchTile = 8
 
+// radiusGrowth is the factor a fused query's radius grows by after each
+// round whose stop rule fails.
+const radiusGrowth = 1.5
+
 // BatchTile reports the fused batch engine's query-tile width, for
 // benchmark reports and capacity planning.
 func BatchTile() int { return batchTile }
@@ -54,7 +67,9 @@ type batchScratch struct {
 	idx  *Index
 	tops []*index.TopK // per-query KNN accumulators (squared distances)
 
-	done    []bool // query finished (KNN stop condition met)
+	// rad is each query's current search radius; a negative radius marks
+	// a query that has finished.
+	rad     []float64
 	allDone []bool // per-round accumulator, mirrors knnInto's allDone
 
 	dist      []float64 // dist(q_j, O_pi) in the partition metric
@@ -110,7 +125,7 @@ func (idx *Index) getBatchScratch() *batchScratch {
 		for j := range bs.tops {
 			bs.tops[j] = index.NewTopK(0)
 		}
-		bs.done = make([]bool, batchTile)
+		bs.rad = make([]float64, batchTile)
 		bs.allDone = make([]bool, batchTile)
 		bs.segA = make([]int, 2*batchTile)
 		bs.segB = make([]int, 2*batchTile)
@@ -204,38 +219,19 @@ func (idx *Index) primeTile(bs *batchScratch, queries [][]float64) {
 //mmdr:hotpath fused tile search; allocates only the per-query result slices
 func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]index.Neighbor) {
 	nq := len(queries)
+	idx.primeTile(bs, queries)
 	for j := 0; j < nq; j++ {
 		bs.tops[j].Reset(k)
-		bs.done[j] = false
+		bs.rad[j] = idx.firstRadius(bs, j, k)
+		bs.allDone[j] = true
 	}
-	idx.primeTile(bs, queries)
-
-	// Lockstep radius enlargement: all tile queries share the radius
-	// schedule r = round·deltaR — the same schedule each would run alone —
-	// with per-query annulus state, stop checks, and completion.
-	r := idx.deltaR
 	for {
-		for j := 0; j < nq; j++ {
-			bs.allDone[j] = true
-		}
 		for pi := range idx.parts {
-			idx.fusedScanKNN(bs, pi, nq, r)
+			idx.fusedScanKNN(bs, pi, nq)
 		}
-		finished := true
-		for j := 0; j < nq; j++ {
-			if bs.done[j] {
-				continue
-			}
-			if (bs.tops[j].Len() >= k && bs.tops[j].Kth() <= r*r) || bs.allDone[j] {
-				bs.done[j] = true
-			} else {
-				finished = false
-			}
-		}
-		if finished {
+		if bs.stopOrGrow(nq, k) {
 			break
 		}
-		r += idx.deltaR
 	}
 	for j := 0; j < nq; j++ {
 		res := bs.tops[j].Sorted()
@@ -246,12 +242,71 @@ func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]
 	}
 }
 
-// fusedScanKNN advances every unfinished tile query's annulus in partition
-// pi by one radius step and evaluates the union of their new row intervals
-// in a single pass over the partition's block.
+// firstRadius returns tile query j's opening search radius: the smallest,
+// over partitions p, of m_p·(k/n_p)^(1/d_p) + max(0, dist_p − R_p). The
+// first term estimates the k-th neighbor distance of a query inside p if
+// p's n_p members spread uniformly over a d_p-dimensional ball of radius
+// m_p, their mean distance to the reference point; the second is the gap
+// from the query to p's data sphere. A zero estimate (members all on the
+// reference point) falls back to deltaR. The radius only sets where the
+// search starts, never what it returns.
 //
 //mmdr:hotpath
-func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int, r float64) {
+func (idx *Index) firstRadius(bs *batchScratch, j, k int) float64 {
+	dens := idx.layout.dens
+	parts := idx.parts[:len(dens)]
+	r0 := math.Inf(1)
+	for pi, pd := range dens {
+		if pd.n < 1 {
+			continue
+		}
+		r := pd.mean * math.Pow(float64(k)/pd.n, pd.invDim)
+		if gap := bs.dist[pi*batchTile+j] - parts[pi].maxRadius; gap > 0 {
+			r += gap
+		}
+		if r < r0 {
+			r0 = r
+		}
+	}
+	if r0 > 0 && r0 < math.Inf(1) {
+		return r0
+	}
+	return idx.deltaR
+}
+
+// stopOrGrow ends a fused round: each unfinished query whose k-th squared
+// distance lies inside its sphere, or whose partitions are all exhausted,
+// finishes (its radius goes negative); every other query grows its radius
+// by radiusGrowth and re-arms its allDone accumulator for the next round.
+// Reports whether the whole tile has finished.
+//
+//mmdr:hotpath
+func (bs *batchScratch) stopOrGrow(nq, k int) bool {
+	rad := bs.rad[:nq]
+	allDone := bs.allDone[:nq]
+	tops := bs.tops[:nq]
+	finished := true
+	for j, r := range rad {
+		if r < 0 {
+			continue
+		}
+		if top := tops[j]; (top.Len() >= k && top.Kth() <= r*r) || allDone[j] {
+			rad[j] = -1
+			continue
+		}
+		rad[j] = r * radiusGrowth
+		allDone[j] = true
+		finished = false
+	}
+	return finished
+}
+
+// fusedScanKNN advances every unfinished tile query's annulus in partition
+// pi to its current radius and evaluates the union of their new row
+// intervals in a single pass over the partition's block.
+//
+//mmdr:hotpath
+func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int) {
 	lay := idx.layout
 	p := &idx.parts[pi]
 	ps, pe := lay.partStart[pi], lay.partStart[pi+1]
@@ -266,7 +321,8 @@ func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int, r float64) {
 	nseg := 0
 	for j := 0; j < nq; j++ {
 		si := pi*batchTile + j
-		if bs.done[j] || bs.exhausted[si] {
+		r := bs.rad[j]
+		if r < 0 || bs.exhausted[si] {
 			continue
 		}
 		dist := bs.dist[si]
@@ -292,7 +348,7 @@ func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int, r float64) {
 			bs.scanLo[si], bs.scanHi[si] = lo, hi
 		} else {
 			// Grown annulus: the new edges lie just outside the cached row
-			// boundaries (the annulus grows by deltaR per round), so gallop
+			// boundaries (the radius grows by one step per round), so gallop
 			// outward from them — same results as a full binary search
 			// (rowLo/rowHi are exactly the old edges' bound positions), with
 			// probes that stay in the neighborhood the last round touched.
@@ -362,8 +418,8 @@ func (idx *Index) searchKeys(keys []float64, bound float64, upper bool) int {
 
 // gallopDown returns searchKeys(keys[:from], bound, upper) — the annulus
 // edge is known to lie at or before from — probing exponentially backward
-// from from, then binary-searching the bracketed window. Radius growth is
-// one deltaR per round, so the edge is near from and the probes stay
+// from from, then binary-searching the bracketed window. The radius grows
+// by one step per round, so the edge is near from and the probes stay
 // cache-local. Each probe charges one key comparison like searchKeys.
 //
 //mmdr:hotpath

@@ -9,9 +9,11 @@ import (
 	"mmdr/internal/pool"
 )
 
-// Fused quantized batch search: the tile machinery of fused.go — lockstep
-// radius schedule, elementary-interval decomposition, one pass over each
-// partition's storage per tile — applied to the quantized scan path. Each
+// Fused quantized batch search: the tile machinery of fused.go — per-query
+// annulus state, elementary-interval decomposition, one pass over each
+// partition's storage per tile — applied to the quantized scan path, with
+// the solo quantized search's lockstep radius ramp: every unfinished query
+// of the tile runs at the same radius each round. Each
 // code row is loaded once per tile and evaluated against every query active
 // in its interval (m table loads per pair), feeding the per-query estimate
 // reservoirs; when a query's budget-th estimate falls inside its sphere or
@@ -121,9 +123,15 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 	if nRows := idx.layout.partStart[len(idx.parts)]; resK > nRows {
 		resK = nRows
 	}
+	quota := budget * quantScanFactor
+	if quota/quantScanFactor != budget { // overflow: quota can never bind
+		quota = int(^uint(0) >> 1)
+	}
+	step := idx.deltaR / quantDeltaDiv
+	r := step
 	for j := 0; j < nq; j++ {
 		bs.ests[j].Reset(resK)
-		bs.done[j] = false
+		bs.rad[j] = r
 		bs.qrows[j] = 0
 	}
 	for i := range bs.qbuilt {
@@ -131,19 +139,17 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 	}
 	idx.primeTile(bs, queries)
 
-	quota := budget * quantScanFactor
-	if quota/quantScanFactor != budget { // overflow: quota can never bind
-		quota = int(^uint(0) >> 1)
-	}
-	step := idx.deltaR / quantDeltaDiv
-	r := step
 	for {
 		for j := 0; j < nq; j++ {
 			bs.allDone[j] = true
 		}
 		for pi := range idx.parts {
-			idx.fusedScanQuant(bs, pi, nq, r, quota)
+			idx.fusedScanQuant(bs, pi, nq, quota)
 		}
+		if step *= quantStepRatio; step > idx.deltaR*quantStepCap {
+			step = idx.deltaR * quantStepCap
+		}
+		next := r + step
 		// Same round-boundary stop disjunction as the solo path: exactness
 		// proof, spent scan quota, or partitions exhausted. The per-round row
 		// counts match knnQuantizedInto's exactly (identical annuli), so the
@@ -151,22 +157,20 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 		// the answers, stay bitwise solo-identical.
 		finished := true
 		for j := 0; j < nq; j++ {
-			if bs.done[j] {
+			if bs.rad[j] < 0 {
 				continue
 			}
 			if (bs.ests[j].Len() >= budget && bs.ests[j].Kth() <= r*r) || bs.qrows[j] >= quota || bs.allDone[j] {
-				bs.done[j] = true
+				bs.rad[j] = -1
 			} else {
+				bs.rad[j] = next
 				finished = false
 			}
 		}
 		if finished {
 			break
 		}
-		if step *= quantStepRatio; step > idx.deltaR*quantStepCap {
-			step = idx.deltaR * quantStepCap
-		}
-		r += step
+		r = next
 	}
 
 	// Exact re-rank, per query, over its surviving candidates — the same
@@ -208,12 +212,12 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 }
 
 // fusedScanQuant advances every unfinished tile query's annulus in
-// partition pi by one radius step — the identical interval bookkeeping of
-// fusedScanKNN — and evaluates the union of new row intervals in one pass
-// over the partition's code block.
+// partition pi to its current radius — the identical interval bookkeeping
+// of fusedScanKNN — and evaluates the union of new row intervals in one
+// pass over the partition's code block.
 //
 //mmdr:hotpath
-func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq int, r float64, quota int) {
+func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq, quota int) {
 	lay := idx.layout
 	p := &idx.parts[pi]
 	ps, pe := lay.partStart[pi], lay.partStart[pi+1]
@@ -226,7 +230,8 @@ func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq int, r float64, quota 
 		// The quota check mirrors the solo path's partition-boundary cut:
 		// qrows[j] holds the same cumulative count at the same partition
 		// walk position, so both paths stop the scan at the same row.
-		if bs.done[j] || bs.exhausted[si] || bs.qrows[j] >= quota {
+		r := bs.rad[j]
+		if r < 0 || bs.exhausted[si] || bs.qrows[j] >= quota {
 			continue
 		}
 		dist := bs.dist[si]

@@ -131,6 +131,12 @@ func TestKNNKLargerThanN(t *testing.T) {
 	if len(res) != ds.N {
 		t.Fatalf("got %d results, want all %d", len(res), ds.N)
 	}
+	// At k near or beyond n the fused search's first radius lies beyond
+	// every partition sphere.
+	scan := index.NewSeqScan(ds, red, nil)
+	for _, k := range []int{ds.N - 1, ds.N, ds.N + 50} {
+		sameBatchSoloScan(t, "k~n", idx, scan, equivQueries(ds, 6, 73), k)
+	}
 }
 
 func TestKNNCountsIO(t *testing.T) {
@@ -180,6 +186,32 @@ func TestKNNQueryFarOutsideAllPartitions(t *testing.T) {
 		if math.Abs(res[i].Dist-want[i].Dist) > 1e-9 {
 			t.Fatalf("far query rank %d: %v vs %v", i, res[i].Dist, want[i].Dist)
 		}
+	}
+
+	// The fused search opens a far query no closer than the gap to the
+	// nearest partition sphere, and still answers bitwise like solo.
+	qs := [][]float64{q, make([]float64, ds.Dim), append([]float64(nil), ds.Point(3)...)}
+	for i := range qs[1] {
+		qs[1][i] = -20
+	}
+	qs[2][0] = 30
+	bs := idx.getBatchScratch()
+	idx.primeTile(bs, qs)
+	for j := range qs {
+		gap := math.Inf(1)
+		for pi, p := range idx.parts {
+			gap = math.Min(gap, bs.dist[pi*batchTile+j]-p.maxRadius)
+		}
+		if gap <= 0 {
+			t.Fatalf("query %d is not outside every partition sphere (gap %v)", j, gap)
+		}
+		if r0 := idx.firstRadius(bs, j, 5); r0 < gap {
+			t.Fatalf("query %d opens at %v, inside the gap %v to the nearest sphere", j, r0, gap)
+		}
+	}
+	idx.putBatchScratch(bs)
+	for _, k := range []int{1, 5} {
+		sameBatchSoloScan(t, "far", idx, scan, qs, k)
 	}
 }
 

@@ -34,6 +34,11 @@ type soaLayout struct {
 	vecs [][]float64
 	dims []int
 
+	// dens summarizes each partition's members for the fused search's
+	// first radius (firstRadius). It is derived from keys, so a rebuild
+	// after Insert/Delete refreshes it with the layout.
+	dens []partDensity
+
 	// rowOf maps a record ID to its row within its partition's block
 	// (-1 when the record is not in the tree). Indexed like partOf/slotOf.
 	rowOf []int32
@@ -47,6 +52,13 @@ type soaLayout struct {
 	// the same derived-cache discipline as the rest of the layout: dropped
 	// on Insert/Delete, re-encoded by RebuildLayout.
 	codes [][]byte
+}
+
+// partDensity is one partition's density summary: its member count n, the
+// mean distance mean of its members to the reference point, and invDim =
+// 1/d for the dimensionality d of the partition's metric.
+type partDensity struct {
+	n, mean, invDim float64
 }
 
 // RebuildLayout re-materializes the SoA scan layout from the current tree.
@@ -71,6 +83,7 @@ func (idx *Index) rebuildLayout() {
 		partStart: make([]int, nParts+1),
 		vecs:      make([][]float64, nParts),
 		dims:      make([]int, nParts),
+		dens:      make([]partDensity, nParts),
 		rowOf:     make([]int32, len(idx.partOf)),
 	}
 	for i := range lay.rowOf {
@@ -103,13 +116,25 @@ func (idx *Index) rebuildLayout() {
 		return
 	}
 	for pi := 0; pi < nParts; pi++ {
-		lay.partStart[pi+1] = lay.partStart[pi] + counts[pi]
+		ps := lay.partStart[pi]
+		lay.partStart[pi+1] = ps + counts[pi]
 		if s := idx.parts[pi].sub; s != nil {
 			lay.dims[pi] = s.Dr
 		} else {
 			lay.dims[pi] = idx.ds.Dim
 		}
 		lay.vecs[pi] = make([]float64, counts[pi]*lay.dims[pi])
+		// Keys are pi·c + the member's distance to the reference point.
+		pd := partDensity{n: float64(counts[pi]), invDim: 1 / float64(lay.dims[pi])}
+		if counts[pi] > 0 {
+			base := float64(pi) * idx.c
+			var sum float64
+			for _, key := range lay.keys[ps : ps+counts[pi]] {
+				sum += key - base
+			}
+			pd.mean = sum / pd.n
+		}
+		lay.dens[pi] = pd
 	}
 
 	// Pass 2: copy each entry's stored vector into its block row. Copies

@@ -45,8 +45,8 @@ var ErrNoQuantizer = errors.New("idist: no quantizer attached (SetQuantizer or O
 // quota is checked at partition boundaries, so the scanned set is identical
 // in the solo and fused paths. With budget >= n the quota can only bind
 // once every row is scanned, preserving the bitwise-exact degenerate point.
-// The value is tuned at paper scale (n=100k, d=64): budget=128 lands at
-// recall@10 ~0.97 at ~2.5x the exact fused batch throughput.
+// The value is tuned at paper scale (n=100k, d=64): budget=130 lands at
+// recall@10 ~0.98 (BENCH_approx.json).
 const quantScanFactor = 32
 
 // quantDeltaDiv, quantStepRatio and quantStepCap shape the radius schedule

@@ -23,8 +23,8 @@ type KNNIndex interface {
 	Name() string
 }
 
-// TopK accumulates the k smallest-distance neighbors seen so far using a
-// bounded max-heap. The zero value is unusable; create with NewTopK.
+// TopK accumulates the k smallest neighbors by (Dist, ID) seen so far using
+// a bounded max-heap. The zero value is unusable; create with NewTopK.
 type TopK struct {
 	k    int
 	heap nbrHeap
@@ -43,10 +43,13 @@ func (t *TopK) Reset(k int) {
 	t.heap = t.heap[:0]
 }
 
-// Add offers a candidate; it is kept only if it beats the current k-th
-// distance. The sift operations are inlined (not container/heap) so no
-// interface boxing allocates on the query hot path; they replicate
-// container/heap's up/down exactly, so tie handling is unchanged.
+// Add offers a candidate; it is kept only if it ranks ahead of the current
+// k-th neighbor in the (Dist, ID) order. Ranking ties by ID makes the kept
+// set the k smallest by (Dist, ID) whatever order candidates arrive in, so
+// searches that visit rows in different orders agree on which of two
+// equidistant points takes the k-th place. The sift operations are inlined
+// (not container/heap) so no interface boxing allocates on the query hot
+// path.
 func (t *TopK) Add(id int, dist float64) {
 	if t.k <= 0 {
 		return
@@ -56,10 +59,22 @@ func (t *TopK) Add(id int, dist float64) {
 		t.up(len(t.heap) - 1)
 		return
 	}
-	if dist < t.heap[0].Dist {
+	if ranksBefore(dist, id, t.heap[0]) {
 		t.heap[0] = Neighbor{ID: id, Dist: dist}
 		t.down(0)
 	}
+}
+
+// ranksBefore reports whether (dist, id) precedes b in the (Dist, ID)
+// order, written as orderings so ties need no float equality test.
+func ranksBefore(dist float64, id int, b Neighbor) bool {
+	if dist < b.Dist {
+		return true
+	}
+	if dist > b.Dist {
+		return false
+	}
+	return id < b.ID
 }
 
 // up sifts element j toward the root of the max-heap.
@@ -67,7 +82,7 @@ func (t *TopK) up(j int) {
 	h := t.heap
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !(h[j].Dist > h[i].Dist) {
+		if !ranksBefore(h[i].Dist, h[i].ID, h[j]) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]
@@ -85,10 +100,10 @@ func (t *TopK) down(i int) {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].Dist > h[j1].Dist {
+		if j2 := j1 + 1; j2 < n && ranksBefore(h[j1].Dist, h[j1].ID, h[j2]) {
 			j = j2 // right child is the larger
 		}
-		if !(h[j].Dist > h[i].Dist) {
+		if !ranksBefore(h[i].Dist, h[i].ID, h[j]) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]
@@ -144,5 +159,5 @@ func SortNeighbors(ns []Neighbor) {
 	})
 }
 
-// nbrHeap is a max-heap on Dist, maintained by TopK.up/TopK.down.
+// nbrHeap is a max-heap on (Dist, ID), maintained by TopK.up/TopK.down.
 type nbrHeap []Neighbor

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"mmdr/internal/dataset"
 	"mmdr/internal/quant"
@@ -46,17 +47,42 @@ func (m *Model) Save(w io.Writer) error {
 	})
 }
 
-// SaveFile writes the model to path.
+// SaveFile writes the model to path. The write is atomic: a crash or a
+// failed encode leaves any earlier file at path as it was.
 func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, m.Save)
+}
+
+// writeFileAtomic streams write's output into a temporary file in path's
+// directory, syncs and closes it, then renames it over path. On any error
+// the temporary file is removed and path is left untouched. A replaced
+// file keeps its permission bits; a new one gets 0644.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	perm := os.FileMode(0o644)
+	if fi, err := os.Stat(path); err == nil {
+		perm = fi.Mode().Perm()
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
+	err = f.Chmod(perm)
+	if err == nil {
+		err = write(f)
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Load reads a model previously written by Save.
