@@ -71,7 +71,8 @@ gate:
 # analyzer suite, the full test suite, a short-mode pass of the race gate's
 # serving scenarios, the benchmark module's tests, and a short fuzz smoke
 # of the query-equivalence targets (each holds EXACT equality between the
-# kernelized tree paths and the sequential-scan oracle).
+# kernelized tree paths and the sequential-scan oracle, the last one across
+# random insert/delete streams and the layout merges they trigger).
 check: fmt-check perfbench
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmdrlint ./...
@@ -81,6 +82,7 @@ check: fmt-check perfbench
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzKNNvsSeqScan -fuzztime 10s
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzRangeVsSeqScan -fuzztime 10s
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzBatchKNNvsKNN -fuzztime 10s
+	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzWritesVsSeqScan -fuzztime 10s
 
 # Regenerate BENCH_parallel.json: serial vs parallel build time, sequential
 # vs fused-batch query throughput, and the worker sweep {1,2,4,8} at paper

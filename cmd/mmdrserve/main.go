@@ -7,7 +7,7 @@
 //
 // The server loads a model (mmdr.Save format) or, with -synthetic,
 // reduces a generated correlated-cluster dataset at startup. It serves
-// the HTTP API (POST /knn /range /insert /delete /reload, GET /healthz
+// the HTTP API (POST /knn /range /insert /delete, GET /healthz
 // /statusz /metrics, /debug/pprof/*) until SIGINT/SIGTERM, then drains:
 // in-flight requests finish, workers exit, and the process leaves no
 // goroutines behind — the contract `make racegate` verifies.

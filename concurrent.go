@@ -4,9 +4,10 @@ import "sync"
 
 // ConcurrentIndex wraps an Index for concurrent use: KNN and Range run
 // under a shared read lock (many in flight at once), while Insert and
-// Delete take the write lock. The underlying extended iDistance structure
-// is read-mostly, so this wrapper is the pragmatic production pattern —
-// queries scale out, maintenance serializes.
+// Delete take the write lock. Writes update the layout that readers scan
+// (and every ⌈√n⌉ of them merge it, see Index), so they must exclude
+// readers; the structure is read-mostly, so this wrapper is the pragmatic
+// production pattern — queries scale out, maintenance serializes.
 //
 // Cost counters attached via WithCostCounter are atomic, so they may stay
 // attached while queries run concurrently through this wrapper. Insert
@@ -58,15 +59,6 @@ func (c *ConcurrentIndex) Delete(id int) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.idx.Delete(id)
-}
-
-// RebuildLayout re-materializes the blocked vector layout after Insert or
-// Delete churn (see Index.RebuildLayout). Takes the write lock: the rebuild
-// mutates the derived cache that concurrent readers scan.
-func (c *ConcurrentIndex) RebuildLayout() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.idx.RebuildLayout()
 }
 
 // Name identifies the underlying scheme.

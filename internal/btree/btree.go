@@ -284,97 +284,6 @@ func (t *Tree) RangeBetween(lo, hi float64, excludeLo, excludeHi bool, visit fun
 	return leaves
 }
 
-// RangeRuns is RangeBetween for block-oriented consumers: instead of one
-// callback per entry, the visitor receives each leaf's maximal contiguous
-// in-range run as parallel key/rid sub-slices (ascending, never empty). The
-// entries visited, the leaf count returned, and the costs charged to the
-// counter are all identical to RangeBetween over the same bounds — the
-// per-entry key comparisons RangeBetween performs are charged in bulk per
-// leaf — so the two scan shapes are interchangeable for accounting. The
-// visitor must not retain or mutate the slices; returning false stops the
-// scan.
-//
-//mmdr:hotpath run-granular annulus scan feeding the SoA block fast path
-func (t *Tree) RangeRuns(lo, hi float64, excludeLo, excludeHi bool, visit func(keys []float64, rids []uint32) bool) (leaves int) {
-	//mmdr:ignore floatcmp same bitwise half-open bound contract as RangeBetween
-	if t.size == 0 || lo > hi || (lo == hi && (excludeLo || excludeHi)) {
-		return 0
-	}
-	n := t.findLeaf(lo)
-	leaves = 1
-	pos := sort.SearchFloat64s(n.keys, lo)
-	for n != nil {
-		// The run starts past any keys equal to an exclusive low bound.
-		// Duplicates of lo can straddle leaves, so the skip applies per leaf.
-		start := pos
-		if excludeLo {
-			start = pos + upperBound(n.keys[pos:], lo)
-		}
-		// First out-of-range entry at or after start: RangeBetween's scan
-		// terminator (first key > hi, or >= hi under an exclusive high bound).
-		var end int
-		if excludeHi {
-			end = start + lowerBound(n.keys[start:], hi)
-		} else {
-			end = start + upperBound(n.keys[start:], hi)
-		}
-		// RangeBetween charges one key comparison for every entry it
-		// inspects: everything from the scan position through the terminator,
-		// terminator included when it sits inside this leaf.
-		inspected := end - pos
-		if end < len(n.keys) {
-			inspected++
-		}
-		if t.counter != nil && inspected > 0 {
-			t.counter.CountKeyCompares(int64(inspected))
-		}
-		if end > start && !visit(n.keys[start:end], n.rids[start:end]) {
-			return leaves
-		}
-		if end < len(n.keys) {
-			return leaves // terminator found inside this leaf
-		}
-		n = n.next
-		if n != nil {
-			leaves++
-			t.touchLeaf(true)
-		}
-		pos = 0
-	}
-	return leaves
-}
-
-// lowerBound returns the first index with keys[i] >= key. Unlike
-// searchKeysLower it charges nothing: callers on the run-granular path
-// account comparisons at RangeBetween parity themselves.
-func lowerBound(keys []float64, key float64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// upperBound returns the first index with keys[i] > key (uncharged, see
-// lowerBound).
-func upperBound(keys []float64, key float64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // WalkLeaves visits every leaf in chain order, handing the visitor the
 // leaf's ordinal and its parallel key/rid slices. The walk is physical, not
 // a query, so nothing is charged to the cost counter — it exists for

@@ -2,8 +2,11 @@ package btree
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+
+	"mmdr/internal/iostat"
 )
 
 // collect runs a RangeBetween scan and returns the visited rids in order.
@@ -129,5 +132,55 @@ func TestRangeBetweenMatchesFilterProperty(t *testing.T) {
 			}
 			prev = k
 		}
+	}
+}
+
+// WalkLeaves reproduces the exact global leaf order (the concatenation of
+// RangeBetween over the full key space), reports ordinals densely from 0,
+// and charges nothing.
+func TestWalkLeavesMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ctr iostat.Counter
+	tr := New(48, &ctr)
+	entries := make([]Entry, 300)
+	for i := range entries {
+		entries[i] = Entry{Key: float64(rng.Intn(50)), RID: uint32(i)}
+	}
+	tr.BulkLoad(entries, 0.9)
+	ctr.Reset()
+
+	var wantK []float64
+	var wantR []uint32
+	tr.RangeBetween(0, 50, false, false, func(k float64, rid uint32) bool {
+		wantK = append(wantK, k)
+		wantR = append(wantR, rid)
+		return true
+	})
+	scanCost := ctr
+
+	ctr.Reset()
+	var gotK []float64
+	var gotR []uint32
+	next := 0
+	tr.WalkLeaves(func(ord int, keys []float64, rids []uint32) bool {
+		if ord != next {
+			t.Fatalf("leaf ordinal %d, want %d", ord, next)
+		}
+		next++
+		gotK = append(gotK, keys...)
+		gotR = append(gotR, rids...)
+		return true
+	})
+	if ctr != (iostat.Counter{}) {
+		t.Fatalf("WalkLeaves charged the counter: %+v", ctr)
+	}
+	if scanCost == (iostat.Counter{}) {
+		t.Fatal("premise: the charged full scan must have counted something")
+	}
+	if !reflect.DeepEqual(wantK, gotK) || !reflect.DeepEqual(wantR, gotR) {
+		t.Fatalf("WalkLeaves order diverges from full range scan: %d vs %d entries", len(gotR), len(wantR))
+	}
+	if next != tr.LeafPages() {
+		t.Fatalf("walked %d leaves, LeafPages reports %d", next, tr.LeafPages())
 	}
 }

@@ -8,23 +8,21 @@ import (
 )
 
 // Batch queries fan a workload of independent searches across a worker
-// pool. The search read path touches the B⁺-tree, the partition geometry,
-// and the stored reduced coordinates — all immutable after Build — plus the
-// attached cost Sink, which is the one piece of shared mutable state. With
-// workers > 1 the Sink must therefore be goroutine-safe (AtomicCounter) or
-// nil; a plain Counter is only safe at workers <= 1.
+// pool. The search read path touches the SoA layout and the partition
+// geometry — immutable under queries — plus the attached cost Sink, which
+// is the one piece of shared mutable state. With workers > 1 the Sink must
+// therefore be goroutine-safe (AtomicCounter) or nil; a plain Counter is
+// only safe at workers <= 1.
 //
-// Queries are split into contiguous chunks, one worker each. With the SoA
-// layout materialized, every worker runs the FUSED path: its chunk is cut
-// into tiles of batchTile queries and each partition scan serves a whole
-// tile from one pass over the partition's block (see fused.go) — the
-// single-core win of batching. After a dynamic Insert/Delete (layout
-// dropped) workers fall back to a per-query loop over a shared
-// queryScratch. Either way a batch allocates only the result slices.
+// Queries are split into contiguous chunks, one worker each. Every worker
+// cuts its chunk into tiles of batchTile queries and each partition scan
+// serves a whole tile from one pass over the partition's block (see
+// fused.go) — the single-core win of batching. A batch allocates only the
+// result slices.
 //
 // Results land at the same position as their query, so out[i] is exactly
 // what the corresponding single-query call would have returned — bit for
-// bit, at every worker count, on both paths.
+// bit, at every worker count.
 
 // BatchKNN answers len(queries) KNN queries using at most workers
 // goroutines (workers <= 0 selects runtime.NumCPU()).
@@ -32,52 +30,33 @@ import (
 //mmdr:hotpath budget pinned by alloc_test: 2 + one result slice per query
 func (idx *Index) BatchKNN(queries [][]float64, k, workers int) [][]index.Neighbor {
 	out := make([][]index.Neighbor, len(queries))
+	if k <= 0 {
+		return out
+	}
 	ops := idx.ops
-	fused := idx.layout != nil && k > 0
 	start := time.Now()
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
-		if fused {
-			bs := idx.getBatchScratch()
-			defer idx.putBatchScratch(bs)
-			for t := lo; t < hi; t += batchTile {
-				te := t + batchTile
-				if te > hi {
-					te = hi
-				}
-				if ops == nil {
-					idx.knnTile(bs, queries[t:te], k, out[t:te])
-					continue
-				}
-				// The fused pass interleaves the tile's queries, so per-query
-				// latency is attributed as the tile average — counts stay one
-				// record per query, in the worker's own shard cell.
-				ts := time.Now()
+		bs := idx.getBatchScratch()
+		defer idx.putBatchScratch(bs)
+		for t := lo; t < hi; t += batchTile {
+			te := t + batchTile
+			if te > hi {
+				te = hi
+			}
+			if ops == nil {
 				idx.knnTile(bs, queries[t:te], k, out[t:te])
-				per := time.Since(ts) / time.Duration(te-t)
-				for i := t; i < te; i++ {
-					if ops.knn.RecordShard(w, per) {
-						idx.captureSlowKNN(queries[i], k, per)
-					}
+				continue
+			}
+			// The fused pass interleaves the tile's queries, so per-query
+			// latency is attributed as the tile average — counts stay one
+			// record per query, in the worker's own shard cell.
+			ts := time.Now()
+			idx.knnTile(bs, queries[t:te], k, out[t:te])
+			per := time.Since(ts) / time.Duration(te-t)
+			for i := t; i < te; i++ {
+				if ops.knn.RecordShard(w, per) {
+					idx.captureSlowKNN(queries[i], k, per)
 				}
-			}
-			return
-		}
-		sc := idx.getScratch()
-		defer idx.putScratch(sc)
-		if ops == nil {
-			for i := lo; i < hi; i++ {
-				out[i] = idx.knnInto(sc, queries[i], k, 0, nil)
-			}
-			return
-		}
-		// Each worker records into its own shard cell, so per-query
-		// instrumentation adds no cross-worker contention.
-		for i := lo; i < hi; i++ {
-			qs := time.Now()
-			out[i] = idx.knnInto(sc, queries[i], k, 0, nil)
-			elapsed := time.Since(qs)
-			if ops.knn.RecordShard(w, elapsed) {
-				idx.captureSlowKNN(queries[i], k, elapsed)
 			}
 		}
 	})
@@ -112,42 +91,25 @@ func (idx *Index) BatchKNNTrace(queries [][]float64, k, workers int) ([][]index.
 func (idx *Index) BatchRange(queries [][]float64, r float64, workers int) [][]index.Neighbor {
 	out := make([][]index.Neighbor, len(queries))
 	ops := idx.ops
-	fused := idx.layout != nil
 	start := time.Now()
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
-		if fused {
-			bs := idx.getBatchScratch()
-			defer idx.putBatchScratch(bs)
-			for t := lo; t < hi; t += batchTile {
-				te := t + batchTile
-				if te > hi {
-					te = hi
-				}
-				if ops == nil {
-					idx.rangeTile(bs, queries[t:te], r, out[t:te])
-					continue
-				}
-				ts := time.Now()
+		bs := idx.getBatchScratch()
+		defer idx.putBatchScratch(bs)
+		for t := lo; t < hi; t += batchTile {
+			te := t + batchTile
+			if te > hi {
+				te = hi
+			}
+			if ops == nil {
 				idx.rangeTile(bs, queries[t:te], r, out[t:te])
-				per := time.Since(ts) / time.Duration(te-t)
-				for i := t; i < te; i++ {
-					ops.rng.RecordShard(w, per)
-				}
+				continue
 			}
-			return
-		}
-		sc := idx.getScratch()
-		defer idx.putScratch(sc)
-		if ops == nil {
-			for i := lo; i < hi; i++ {
-				out[i] = idx.rangeInto(sc, queries[i], r)
+			ts := time.Now()
+			idx.rangeTile(bs, queries[t:te], r, out[t:te])
+			per := time.Since(ts) / time.Duration(te-t)
+			for i := t; i < te; i++ {
+				ops.rng.RecordShard(w, per)
 			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			qs := time.Now()
-			out[i] = idx.rangeInto(sc, queries[i], r)
-			ops.rng.RecordShard(w, time.Since(qs))
 		}
 	})
 	if ops != nil {

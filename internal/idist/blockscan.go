@@ -1,128 +1,98 @@
 package idist
 
 import (
-	"mmdr/internal/index"
+	"mmdr/internal/iostat"
 	"mmdr/internal/matrix"
 )
 
-// Solo block scans over the SoA layout. The fused batch path (fused.go)
-// converts annulus edges to row intervals with binary searches over the
-// layout's key array; these helpers bring the same mechanism to the
-// single-query paths — KNN, KNNApprox, Range — which previously still
-// walked the tree cursor leaf by leaf even when the layout was
-// materialized. The per-candidate arithmetic (kernel choice, early-abandon
-// bounds, accumulation order) is identical to the tree-visit callbacks, so
-// answers are bit-identical; only the traversal changes.
+// Solo block scans over the SoA layout. The solo exact search (knnInto)
+// keeps the paper's fixed Δr step, so it scans its own annuli rather than
+// running as a tile of one; these helpers convert each annulus to a row
+// interval with the same binary searches the fused path uses and stream
+// the candidate vectors from the partition's row-major block.
 //
 // Cost accounting matches the fused kernel path: each binary-search probe
 // charges one key comparison (the descent it replaces), each evaluated row
 // one DistanceOp, and each leaf the interval spans one page read + node
-// access per scan.
+// access per scan. Everything is charged to the scratch's Sink, which the
+// slow-query capture's re-run leaves nil.
 
 // rowBounds converts the key annulus [lo, hi] (edges excluded per the
-// flags) into the half-open row interval [a, b) of partition pi's key span.
-// The bound flags map exactly to the btree's lowerBound/upperBound entry
-// sets: an inclusive low edge is the first key >= lo, an exclusive low edge
-// the first key > lo, and symmetrically for the high edge.
+// flags) into the half-open row interval [a, b) of a partition's key span.
+// An inclusive low edge is the first key >= lo, an exclusive low edge the
+// first key > lo, and symmetrically for the high edge.
 //
 //mmdr:hotpath
-func (idx *Index) rowBounds(keys []float64, lo, hi float64, exLo, exHi bool) (int, int) {
-	a := idx.searchKeys(keys, lo, exLo)
-	b := a + idx.searchKeys(keys[a:], hi, !exHi)
+func rowBounds(ctr iostat.Sink, keys []float64, lo, hi float64, exLo, exHi bool) (int, int) {
+	a := searchKeys(ctr, keys, lo, exLo)
+	b := a + searchKeys(ctr, keys[a:], hi, !exHi)
 	return a, b
 }
 
-// chargeLeafSpan counts each leaf the row interval [a, b) of partition pi
-// touches, once per scan — the physical I/O of one contiguous block pass.
+// chargeLeafSpan counts each leaf the row interval [a, b) of the partition
+// starting at global position ps touches, once per scan — the physical I/O
+// of one contiguous block pass.
 //
 //mmdr:hotpath
-func (idx *Index) chargeLeafSpan(ps, a, b int) int {
+func (idx *Index) chargeLeafSpan(ctr iostat.Sink, ps, a, b int) int {
 	if a >= b {
 		return 0
 	}
 	lay := idx.layout
 	leaves := int(lay.leafOf[ps+b-1]-lay.leafOf[ps+a]) + 1
-	if idx.counter != nil {
-		idx.counter.CountPageReads(int64(leaves))
-		idx.counter.CountNodeAccesses(int64(leaves))
+	if ctr != nil {
+		ctr.CountPageReads(int64(leaves))
+		ctr.CountNodeAccesses(int64(leaves))
 	}
 	return leaves
 }
 
 // scanBlockKNN evaluates the annulus rows of partition pi against the
-// running top-k, streaming vectors from the partition's row-major block.
-// Row order is ascending global position — the order the tree cursor visits
-// the same keys — and the per-candidate arithmetic matches knnVisit, so the
-// heap evolves identically to the tree path. Returns the leaves spanned.
+// running top-k, in ascending global position — the order the tree cursor
+// visits the same keys. Returns the leaves spanned.
 //
-//mmdr:hotpath innermost solo KNN scan over the SoA layout
+//mmdr:hotpath
 func (idx *Index) scanBlockKNN(sc *queryScratch, pi int, lo, hi float64, exLo, exHi bool) int {
 	lay := idx.layout
 	ps, pe := lay.partStart[pi], lay.partStart[pi+1]
-	a, b := idx.rowBounds(lay.keys[ps:pe], lo, hi, exLo, exHi)
+	a, b := rowBounds(sc.counter, lay.keys[ps:pe], lo, hi, exLo, exHi)
 	if a >= b {
 		return 0
 	}
 	d := lay.dims[pi]
-	block := lay.vecs[pi]
-	rids := lay.rids[ps:pe]
-	x := sc.x
-	top := sc.top
-	row := a * d
-	if sc.abandon {
-		for p := a; p < b; p++ {
-			v := block[row : row+d : row+d]
-			row += d
-			top.Add(int(rids[p]), matrix.SqDistEarlyAbandon(x, v, top.Kth()))
-		}
-	} else {
-		for p := a; p < b; p++ {
-			v := block[row : row+d : row+d]
-			row += d
-			top.Add(int(rids[p]), matrix.SqDist(x, v))
-		}
-	}
-	if idx.counter != nil {
-		idx.counter.CountDistanceOps(int64(b - a))
-	}
-	sc.cand += b - a
-	return idx.chargeLeafSpan(ps, a, b)
+	sc.evalRows(lay.vecs[pi][a*d:b*d], lay.rids[ps+a:ps+b])
+	return idx.chargeLeafSpan(sc.counter, ps, a, b)
 }
 
-// scanBlockRange is scanBlockKNN's range counterpart: the squared radius
-// bounds the inner loop and filters accepted candidates into the scratch's
-// range buffer, matching rangeVisit's arithmetic.
+// evalRows scores the row-major vectors of block, whose record IDs are
+// rids, against the solo query's running top-k in squared distance, and
+// charges one DistanceOp per row. Block scans and the delta share it. The
+// current k-th squared distance bounds the inner loop: a partial sum
+// already above it proves the candidate cannot enter the heap, so the loop
+// abandons early (candidates that survive get their exact, bit-identical
+// squared distance — see matrix.SqDistEarlyAbandon).
 //
-//mmdr:hotpath innermost solo range scan over the SoA layout
-func (idx *Index) scanBlockRange(sc *queryScratch, pi int, lo, hi float64, exLo, exHi bool) int {
-	lay := idx.layout
-	ps, pe := lay.partStart[pi], lay.partStart[pi+1]
-	a, b := idx.rowBounds(lay.keys[ps:pe], lo, hi, exLo, exHi)
-	if a >= b {
-		return 0
-	}
-	d := lay.dims[pi]
-	block := lay.vecs[pi]
-	rids := lay.rids[ps:pe]
+//mmdr:hotpath innermost solo KNN row loop
+func (sc *queryScratch) evalRows(block []float64, rids []uint32) {
 	x := sc.x
-	r2 := sc.r2
-	row := a * d
-	for p := a; p < b; p++ {
-		v := block[row : row+d : row+d]
-		row += d
-		var dSq float64
-		if sc.abandon {
-			dSq = matrix.SqDistEarlyAbandon(x, v, r2)
-		} else {
-			dSq = matrix.SqDist(x, v)
+	d := len(x)
+	top := sc.top
+	row := 0
+	if sc.abandon {
+		for _, rid := range rids {
+			v := block[row : row+d : row+d]
+			row += d
+			top.Add(int(rid), matrix.SqDistEarlyAbandon(x, v, top.Kth()))
 		}
-		if dSq <= r2 {
-			sc.rangeBuf = append(sc.rangeBuf, index.Neighbor{ID: int(rids[p]), Dist: dSq})
+	} else {
+		for _, rid := range rids {
+			v := block[row : row+d : row+d]
+			row += d
+			top.Add(int(rid), matrix.SqDist(x, v))
 		}
 	}
-	if idx.counter != nil {
-		idx.counter.CountDistanceOps(int64(b - a))
+	if sc.counter != nil {
+		sc.counter.CountDistanceOps(int64(len(rids)))
 	}
-	sc.cand += b - a
-	return idx.chargeLeafSpan(ps, a, b)
+	sc.cand += len(rids)
 }

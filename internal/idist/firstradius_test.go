@@ -129,8 +129,10 @@ func TestFirstRadiusZeroSpreadPartition(t *testing.T) {
 	}
 }
 
-// RebuildLayout after inserts must refresh the density summary: member
-// counts grow by exactly the rows inserted into each partition.
+// Each merge (rebuildLayout) must refresh the density summary: member
+// counts grow by exactly the rows inserted into each partition since the
+// build, and the rows still pending in the delta stay out of it until the
+// next merge.
 func TestRebuildLayoutRefreshesDensity(t *testing.T) {
 	ds, red := testSetup(t, 600, 10, 3, 75)
 	idx, err := Build(ds, red, Options{})
@@ -139,37 +141,47 @@ func TestRebuildLayoutRefreshesDensity(t *testing.T) {
 	}
 	before := append([]partDensity(nil), idx.layout.dens...)
 	rng := rand.New(rand.NewSource(76))
-	var ids []int
+	added := make([]float64, len(idx.parts))
+	merges := 0
 	for i := 0; i < 60; i++ {
 		p := append([]float64(nil), ds.Point(rng.Intn(ds.N))...)
 		for j := range p {
 			p[j] += 0.01 * rng.NormFloat64()
 		}
+		lay := idx.layout
 		id, err := idx.Insert(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
-	}
-	// An insert far from every subspace may open an outlier partition.
-	added := make([]float64, len(idx.parts))
-	for _, id := range ids {
+		// An insert far from every subspace may open an outlier partition.
+		for len(added) < len(idx.parts) {
+			added = append(added, 0)
+		}
 		added[idx.partOf[id]]++
-	}
-	idx.RebuildLayout()
-	var total float64
-	for pi, pd := range idx.layout.dens {
-		var was float64
-		if pi < len(before) {
-			was = before[pi].n
+		if idx.layout == lay {
+			continue
 		}
-		if pd.n != was+added[pi] {
-			t.Fatalf("partition %d: n_p %v after rebuild, want %v + %v inserted", pi, pd.n, was, added[pi])
+		merges++
+		var total float64
+		for pi, pd := range idx.layout.dens {
+			var was float64
+			if pi < len(before) {
+				was = before[pi].n
+			}
+			if pd.n != was+added[pi] {
+				t.Fatalf("partition %d: n_p %v after merge, want %v + %v inserted", pi, pd.n, was, added[pi])
+			}
+			total += pd.n
 		}
-		total += pd.n
+		if int(total) != idx.tree.Len() {
+			t.Fatalf("density counts sum to %v, tree holds %d", total, idx.tree.Len())
+		}
 	}
-	if int(total) != idx.tree.Len() {
-		t.Fatalf("density counts sum to %v, tree holds %d", total, idx.tree.Len())
+	if merges < 2 {
+		t.Fatalf("60 inserts crossed %d merges, want at least 2", merges)
 	}
-	sameBatchSoloScan(t, "rebuilt", idx, index.NewSeqScan(ds, red, nil), equivQueries(ds, 12, 77), 10)
+	if idx.layout.pending == 0 {
+		t.Fatal("want rows pending in the delta at the end of the stream")
+	}
+	sameBatchSoloScan(t, "merged", idx, index.NewSeqScan(ds, red, nil), equivQueries(ds, 12, 77), 10)
 }

@@ -4,26 +4,27 @@ import (
 	"math"
 
 	"mmdr/internal/index"
+	"mmdr/internal/iostat"
 	"mmdr/internal/matrix"
 )
 
 // Fused batch search: one partition scan serves a whole tile of queries.
 //
-// The per-query search (knnInto) walks the tree once per annulus segment per
-// partition per round — for a batch, every query repeats that walk and
-// re-streams the same vector blocks through the cache. With the SoA layout
-// materialized the tree walk is replaceable by two binary searches over the
-// layout's key array (the half-open annulus bounds convert exactly to
-// row-interval endpoints), which makes the scans of different queries
-// composable: the tile's row intervals are decomposed into elementary
-// intervals, and each block row in an interval is evaluated against every
-// query active there via the multi-query kernel (matrix.SqDistRowToSel) —
-// each row is read once per tile instead of once per query.
+// The per-query search (knnInto) scans each annulus segment per partition
+// per round on its own — for a batch, every query would re-stream the same
+// vector blocks through the cache. Two binary searches over the layout's
+// key array convert the half-open annulus bounds exactly to row-interval
+// endpoints, which makes the scans of different queries composable: the
+// tile's row intervals are decomposed into elementary intervals, and each
+// block row in an interval is evaluated against every query active there
+// via the multi-query kernel (matrix.SqDistRowToSel) — each row is read
+// once per tile instead of once per query. Range and KNNQuantized run as
+// tiles of one.
 //
 // Radius schedule: the tile does not advance in lockstep. Each query opens
 // at its own first radius, a density estimate of its k-th neighbor distance
 // (firstRadius), and after every round whose stop rule fails multiplies its
-// own radius by radiusGrowth (stopOrGrow). The solo search keeps the
+// own radius by radiusGrowth (stopOrGrow). The solo exact search keeps the
 // paper's fixed deltaR step, which at low reduced dimensionality makes its
 // first annulus far wider than the k-th neighbor distance; the per-query
 // estimate starts the fused scan near that distance instead.
@@ -213,17 +214,20 @@ func (idx *Index) primeTile(bs *batchScratch, queries [][]float64) {
 }
 
 // knnTile answers one tile of KNN queries with fused partition scans,
-// writing out[j] for queries[j]. len(queries) <= batchTile, k > 0, layout
-// materialized.
+// writing out[j] for queries[j]. len(queries) <= batchTile, k > 0.
 //
 //mmdr:hotpath fused tile search; allocates only the per-query result slices
 func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]index.Neighbor) {
 	nq := len(queries)
 	idx.primeTile(bs, queries)
+	pending := idx.layout.pending != 0
 	for j := 0; j < nq; j++ {
 		bs.tops[j].Reset(k)
 		bs.rad[j] = idx.firstRadius(bs, j, k)
 		bs.allDone[j] = true
+		if pending {
+			idx.tileDelta(bs, j, true, 0)
+		}
 	}
 	for {
 		for pi := range idx.parts {
@@ -239,6 +243,9 @@ func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]
 			res[i].Dist = math.Sqrt(res[i].Dist)
 		}
 		out[j] = res
+	}
+	if pending {
+		idx.dropDeadTile(out)
 	}
 }
 
@@ -341,8 +348,8 @@ func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int) {
 			continue
 		}
 		if bs.scanLo[si] > bs.scanHi[si] {
-			a := idx.searchKeys(keys, base+lo, false)
-			b := a + idx.searchKeys(keys[a:], base+hi, true)
+			a := searchKeys(idx.counter, keys, base+lo, false)
+			b := a + searchKeys(idx.counter, keys[a:], base+hi, true)
 			nseg = bs.addSeg(nseg, a, b, j)
 			bs.rowLo[si], bs.rowHi[si] = a, b
 			bs.scanLo[si], bs.scanHi[si] = lo, hi
@@ -394,11 +401,11 @@ func keyBefore(k, bound float64, upper bool) bool {
 // searchKeys locates an annulus edge in a partition's key span: the first
 // position with key >= bound (upper=false, an inclusive low / exclusive
 // high edge) or key > bound (upper=true, an exclusive low / inclusive high
-// edge). Each probe is charged as one key comparison, mirroring the
+// edge). Each probe is charged to ctr as one key comparison, mirroring the
 // per-level binary searches of the tree descent it replaces.
 //
 //mmdr:hotpath
-func (idx *Index) searchKeys(keys []float64, bound float64, upper bool) int {
+func searchKeys(ctr iostat.Sink, keys []float64, bound float64, upper bool) int {
 	lo, hi := 0, len(keys)
 	probes := 0
 	for lo < hi {
@@ -410,8 +417,8 @@ func (idx *Index) searchKeys(keys []float64, bound float64, upper bool) int {
 			hi = mid
 		}
 	}
-	if idx.counter != nil && probes > 0 {
-		idx.counter.CountKeyCompares(int64(probes))
+	if ctr != nil && probes > 0 {
+		ctr.CountKeyCompares(int64(probes))
 	}
 	return lo
 }
@@ -684,10 +691,14 @@ func (idx *Index) rangeTile(bs *batchScratch, queries [][]float64, r float64, ou
 	lay := idx.layout
 	nq := len(queries)
 	idx.primeTile(bs, queries)
+	r2 := r * r
+	pending := lay.pending != 0
 	for j := 0; j < nq; j++ {
 		bs.rangeBufs[j] = bs.rangeBufs[j][:0]
+		if pending {
+			idx.tileDelta(bs, j, false, r2)
+		}
 	}
-	r2 := r * r
 	for pi := range idx.parts {
 		p := &idx.parts[pi]
 		ps, pe := lay.partStart[pi], lay.partStart[pi+1]
@@ -708,8 +719,8 @@ func (idx *Index) rangeTile(bs *batchScratch, queries [][]float64, r float64, ou
 			if lo > hi {
 				continue
 			}
-			a := idx.searchKeys(keys, base+lo, false)
-			b := idx.searchKeys(keys, base+hi, true)
+			a := searchKeys(idx.counter, keys, base+lo, false)
+			b := searchKeys(idx.counter, keys, base+hi, true)
 			nseg = bs.addSeg(nseg, a, b, j)
 		}
 		if nseg == 0 {
@@ -717,15 +728,18 @@ func (idx *Index) rangeTile(bs *batchScratch, queries [][]float64, r float64, ou
 		}
 		idx.evalSegments(bs, pi, ps, nseg, false, r2)
 	}
+	if pending {
+		idx.dropDeadBufs(bs, nq)
+	}
 	for j := 0; j < nq; j++ {
 		buf := bs.rangeBufs[j]
 		if len(buf) == 0 {
 			out[j] = nil
 			continue
 		}
-		// Same materialization as rangeInto: sort by (squared distance, ID)
-		// — a strict total order, so any accumulation order yields the same
-		// sorted result — then one allocation and a sqrt per neighbor.
+		// Sort by (squared distance, ID) — a strict total order, so any
+		// accumulation order yields the same sorted result — then one
+		// allocation and a sqrt per neighbor.
 		index.SortNeighbors(buf)
 		res := make([]index.Neighbor, len(buf))
 		copy(res, buf)

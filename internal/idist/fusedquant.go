@@ -9,23 +9,22 @@ import (
 	"mmdr/internal/pool"
 )
 
-// Fused quantized batch search: the tile machinery of fused.go — per-query
+// Fused quantized search: the tile machinery of fused.go — per-query
 // annulus state, elementary-interval decomposition, one pass over each
 // partition's storage per tile — applied to the quantized scan path, with
-// the solo quantized search's lockstep radius ramp: every unfinished query
-// of the tile runs at the same radius each round. Each
-// code row is loaded once per tile and evaluated against every query active
-// in its interval (m table loads per pair), feeding the per-query estimate
-// reservoirs; when a query's budget-th estimate falls inside its sphere or
-// its scan quota is spent the query finishes, and its surviving candidates
-// are re-ranked exactly.
+// a lockstep radius ramp: every unfinished query of the tile runs at the
+// same radius each round. Each query active in an elementary interval
+// scores its code rows by table sums (m table loads per row) while the rows
+// are cache-hot, feeding the per-query estimate reservoirs; when a query's
+// budget-th estimate falls inside its sphere or its scan quota is spent the
+// query finishes, and its surviving candidates are re-ranked exactly.
+// KNNQuantized is a tile of one.
 //
-// Equivalence with the solo quantized path follows the same argument as the
-// exact fused path: per query, rows arrive in ascending global position —
-// the solo visit order — with the same lazily built table and the same
-// bound-guarded early abandoning, so the estimate reservoirs, the candidate
-// sets and the re-ranked answers are bit-identical to a sequential
-// KNNQuantized loop at every worker count and tile shape.
+// A query's answer does not depend on its tile-mates: per query, rows
+// arrive in ascending global position with the same lazily built table and
+// the same bound-guarded early abandoning at every tile shape, so the
+// estimate reservoirs, the candidate sets and the re-ranked answers are
+// bit-identical to a sequential KNNQuantized loop at every worker count.
 
 // ensureQuant sizes the quantized tile state (estimate reservoirs sized by
 // Reset, the ADC table tile, build flags) for the index's current
@@ -63,8 +62,7 @@ func (bs *batchScratch) ensureQuant() {
 
 // BatchKNNQuantized answers len(queries) quantized KNN queries using at
 // most workers goroutines (workers <= 0 selects runtime.NumCPU()). Same
-// quantizer contract as KNNQuantized, including the transparent exact
-// fallback while the layout is dropped; results are bit-identical to a
+// quantizer contract as KNNQuantized; results are bit-identical to a
 // sequential KNNQuantized loop at every worker count.
 //
 //mmdr:hotpath budget pinned by alloc_test: 2 + one result slice per query
@@ -74,9 +72,6 @@ func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int)
 	}
 	if k <= 0 {
 		return make([][]index.Neighbor, len(queries)), nil
-	}
-	if idx.layout == nil || idx.layout.codes == nil {
-		return idx.BatchKNN(queries, k, workers), nil
 	}
 	if budget < k {
 		budget = k
@@ -112,13 +107,15 @@ func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int)
 }
 
 // quantTile answers one tile of quantized KNN queries with fused partition
-// scans. len(queries) <= batchTile, k > 0, layout + codes materialized.
+// scans. len(queries) <= batchTile, k > 0, budget >= k, quantizer attached.
+// Delta rows go straight to the exact re-rank heaps.
 //
 //mmdr:hotpath fused quantized tile; allocates only the per-query results
 func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int, out [][]index.Neighbor) {
 	nq := len(queries)
-	// Same reservoir clamp as the solo path: budget >= n never fills the
-	// buffer, preserving the bitwise-exact degenerate point.
+	// Clamp the reservoir's compaction target to the row count: a
+	// budget >= n reservoir then never fills, its bound stays +Inf, and
+	// every scanned row is kept — the bitwise-exact degenerate point.
 	resK := budget
 	if nRows := idx.layout.partStart[len(idx.parts)]; resK > nRows {
 		resK = nRows
@@ -150,11 +147,12 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 			step = idx.deltaR * quantStepCap
 		}
 		next := r + step
-		// Same round-boundary stop disjunction as the solo path: exactness
-		// proof, spent scan quota, or partitions exhausted. The per-round row
-		// counts match knnQuantizedInto's exactly (identical annuli), so the
-		// quota cuts the scan at the same round — the scanned sets, and hence
-		// the answers, stay bitwise solo-identical.
+		// Stop when the budget-th ESTIMATE is within the sphere (every row
+		// whose estimate could displace a kept candidate has been seen),
+		// when the scan quota is spent, or when the partitions are
+		// exhausted. Larger budgets scan strictly more rows under each rule
+		// — the recall knob — and an unbounded budget degenerates to the
+		// full scan.
 		finished := true
 		for j := 0; j < nq; j++ {
 			if bs.rad[j] < 0 {
@@ -174,12 +172,16 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 	}
 
 	// Exact re-rank, per query, over its surviving candidates — the same
-	// kernels and bound discipline as the solo rerank, with the query-side
-	// vectors read from the projection tile (bitwise the solo projections).
+	// kernels and bound discipline as the exact search, with the query-side
+	// vectors read from the projection tile.
 	lay := idx.layout
+	pending := lay.pending != 0
 	for j := 0; j < nq; j++ {
 		top := bs.tops[j]
 		top.Reset(k)
+		if pending {
+			idx.tileDelta(bs, j, true, 0)
+		}
 		cands := bs.ests[j].Items()
 		for _, nb := range cands {
 			p := nb.ID
@@ -209,6 +211,9 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 		}
 		out[j] = res
 	}
+	if pending {
+		idx.dropDeadTile(out)
+	}
 }
 
 // fusedScanQuant advances every unfinished tile query's annulus in
@@ -227,9 +232,9 @@ func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq, quota int) {
 	nseg := 0
 	for j := 0; j < nq; j++ {
 		si := pi*batchTile + j
-		// The quota check mirrors the solo path's partition-boundary cut:
-		// qrows[j] holds the same cumulative count at the same partition
-		// walk position, so both paths stop the scan at the same row.
+		// Partition-boundary quota check: qrows[j] holds the query's
+		// cumulative row count, so the cut bounds the quota overshoot to one
+		// partition's annulus increment instead of a whole round's.
 		r := bs.rad[j]
 		if r < 0 || bs.exhausted[si] || bs.qrows[j] >= quota {
 			continue
@@ -250,8 +255,8 @@ func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq, quota int) {
 			continue
 		}
 		if bs.scanLo[si] > bs.scanHi[si] {
-			a := idx.searchKeys(keys, base+lo, false)
-			b := a + idx.searchKeys(keys[a:], base+hi, true)
+			a := searchKeys(idx.counter, keys, base+lo, false)
+			b := a + searchKeys(idx.counter, keys[a:], base+hi, true)
 			nseg = bs.addSeg(nseg, a, b, j)
 			bs.qrows[j] += b - a
 			bs.rowLo[si], bs.rowHi[si] = a, b
@@ -285,11 +290,12 @@ func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq, quota int) {
 }
 
 // evalSegmentsQuant streams the elementary intervals of the collected
-// segments over partition pi's code block: each code row is read once and
-// its ADC estimate added to every active query's reservoir. Partitions without a
-// code block fall back to exact per-query evaluation (the estimates are
-// then exact). Accounting matches evalSegments: one DistanceOp per
-// query-row pair, each touched leaf charged once per scan.
+// segments over partition pi's code block: each active query adds the ADC
+// estimates of the interval's code rows to its reservoir, while the rows
+// are cache-hot from the previous query. Partitions without a code block
+// fall back to exact per-query evaluation (the estimates are then exact).
+// Accounting matches evalSegments: one DistanceOp per query-row pair, each
+// touched leaf charged once per scan.
 //
 //mmdr:hotpath
 func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
@@ -300,8 +306,8 @@ func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
 	tile := bs.projBuf[bs.projOff[pi]:]
 
 	// Lazily build the ADC tables of the queries contributing segments —
-	// once per (query, partition) per tile search, like the solo path's
-	// first-scan build.
+	// once per (query, partition) per tile search, so partitions the sphere
+	// never reaches cost nothing.
 	if codes != nil {
 		cb := idx.quant.Books[pi]
 		tl := cb.TableLen()
@@ -347,28 +353,26 @@ func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
 		}
 		act := bs.act[:na]
 		if codes != nil {
-			// Row-outer: one code row serves every active query — the
-			// row-sharing win of the fused pass at code granularity. Bounds
-			// are cached per query and refreshed only after an accepted Add
-			// (the reservoir bound moves only on compaction, and Add
-			// re-checks, so the reservoir evolution is unchanged).
+			// Query-outer, like evalInterval: each active query streams the
+			// interval's code rows with its table and reservoir bound held
+			// in locals, and the rows stay cache-hot for the next query.
+			// The bound is refreshed only after an accepted Add (it moves
+			// only on compaction, and Add re-checks).
 			cb := idx.quant.Books[pi]
 			m, kc, tl := cb.M, cb.K, cb.TableLen()
 			tab := bs.qtab[bs.qtabOff[pi]:]
 			for a := 0; a < na; a++ {
-				bs.bounds[a] = bs.ests[int(act[a])].Kth()
-			}
-			off := e0 * m
-			for p := e0; p < e1; p++ {
-				code := codes[off : off+m : off+m]
-				off += m
-				gp := ps + p
-				for a := 0; a < na; a++ {
-					j := int(act[a])
-					if s := matrix.ADCSumBound(tab[j*tl:(j+1)*tl], kc, code, bs.bounds[a]); s < bs.bounds[a] {
-						est := bs.ests[j]
-						est.Add(gp, s)
-						bs.bounds[a] = est.Kth()
+				j := int(act[a])
+				table := tab[j*tl : (j+1)*tl : (j+1)*tl]
+				est := bs.ests[j]
+				kth := est.Kth()
+				off := e0 * m
+				for p := e0; p < e1; p++ {
+					code := codes[off : off+m : off+m]
+					off += m
+					if s := matrix.ADCSumBound(table, kc, code, kth); s < kth {
+						est.Add(ps+p, s)
+						kth = est.Kth()
 					}
 				}
 			}

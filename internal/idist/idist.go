@@ -84,27 +84,22 @@ type Index struct {
 	partOf []int32
 	slotOf []int32
 
-	// layout is the SoA mirror of the tree's leaf level (see layout.go):
-	// non-nil when materialized, nil after a structural mutation. Scans
-	// dispatch on it — block runs when present, per-entry tree visits
-	// otherwise — with bitwise-identical answers either way.
+	// layout is the SoA mirror of the tree's leaf level plus the writes
+	// since the last merge (see layout.go): the only structure queries
+	// read, set by Build and kept valid by every write.
 	layout *soaLayout
 
 	// quant is the attached product-quantizer set (nil = exact-only index).
-	// The layout rebuild derives per-partition code blocks from it; the
-	// quantized query paths require both quant and layout to be present.
+	// The layout rebuild derives per-partition code blocks from it.
 	quant *quant.Set
 
-	// quantPool recycles quantScratch values (ADC tables, estimate heaps) so
-	// quantized queries allocate only their result slices.
-	quantPool sync.Pool
-
-	// scratchPool recycles queryScratch values so KNN/Range allocate only
-	// their returned neighbor slices.
+	// scratchPool recycles queryScratch values so a solo exact KNN
+	// allocates only its returned neighbor slice.
 	scratchPool sync.Pool
 
-	// batchPool recycles batchScratch values (fused tile state) so batch
-	// queries allocate only their result slices.
+	// batchPool recycles batchScratch values (fused tile state) so tile
+	// searches — batches, Range, KNNQuantized — allocate only their result
+	// slices.
 	batchPool sync.Pool
 
 	// Insert scratch. Insert mutates the tree and is not concurrency-safe,
@@ -279,8 +274,8 @@ func (idx *Index) validateQuant(set *quant.Set) error {
 
 // SetQuantizer attaches (or, with nil, detaches) a trained product-quantizer
 // set and rebuilds the SoA layout so the per-partition code blocks are
-// materialized. Same concurrency contract as RebuildLayout: not safe
-// alongside queries (ConcurrentIndex callers hold the write lock).
+// materialized. Same concurrency contract as Insert: not safe alongside
+// queries (ConcurrentIndex callers hold the write lock).
 func (idx *Index) SetQuantizer(set *quant.Set) error {
 	if set == nil {
 		idx.quant = nil
@@ -300,11 +295,8 @@ func (idx *Index) SetQuantizer(set *quant.Set) error {
 func (idx *Index) Quantizer() *quant.Set { return idx.quant }
 
 // HasQuantizer reports whether the quantized query paths are available:
-// a codebook set is attached and the layout (with its code blocks) is
-// materialized.
-func (idx *Index) HasQuantizer() bool {
-	return idx.quant != nil && idx.layout != nil && idx.layout.codes != nil
-}
+// a codebook set is attached, and with it the layout's code blocks.
+func (idx *Index) HasQuantizer() bool { return idx.quant != nil }
 
 // Tree exposes the underlying B⁺-tree (diagnostics, tests).
 func (idx *Index) Tree() *btree.Tree { return idx.tree }
@@ -449,6 +441,10 @@ func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *Q
 			}
 		}
 	}
+	pending := idx.layout.pending != 0
+	if pending {
+		idx.soloDelta(sc, tr)
+	}
 
 	r := idx.deltaR
 	rounds := 0
@@ -533,30 +529,24 @@ func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *Q
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}
+	if pending {
+		out = idx.dropDead(out)
+	}
 	return out
 }
 
-// scanRange visits tree keys in the [lo, hi] annulus slice of partition pi
-// (edges excluded per the flags when re-scanning a grown annulus), feeding
-// each candidate through the scratch's pre-bound visit callback: squared
-// projected distance for subspace members, squared original-space distance
-// for outliers.
+// scanRange evaluates the [lo, hi] key annulus slice of partition pi
+// (edges excluded per the flags when re-scanning a grown annulus): two
+// binary searches over the partition's key span convert the edges to a
+// contiguous row interval whose vectors stream from the row-major block
+// (see scanBlockKNN), in squared projected distance for subspace members
+// and squared original-space distance for outliers.
 //
 //mmdr:hotpath
 func (idx *Index) scanRange(sc *queryScratch, pi int, lo, hi float64, exLo, exHi bool, tr *QueryTrace) {
 	sc.beginScan(pi)
 	sc.cand = 0
-	var leaves int
-	if idx.layout != nil {
-		// SoA fast path: two binary searches over the partition's key span
-		// convert the annulus edges to a contiguous row interval, and the
-		// candidate vectors stream straight from the row-major block — no
-		// tree descent at all. Key compares charge the search probes, pages
-		// charge each spanned leaf once (see scanBlockKNN).
-		leaves = idx.scanBlockKNN(sc, pi, lo, hi, exLo, exHi)
-	} else {
-		leaves = idx.tree.RangeBetween(lo, hi, exLo, exHi, sc.visitKNN)
-	}
+	leaves := idx.scanBlockKNN(sc, pi, lo, hi, exLo, exHi)
 	if tr != nil {
 		tr.Candidates += sc.cand
 		tr.LeavesScanned += leaves

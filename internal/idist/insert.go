@@ -20,7 +20,8 @@ const insertBeta = 0.1
 // the point is within the cluster's Mahalanobis radius (with 20% slack) and
 // whose projection distance is within β, the closest (normalized by
 // radius) wins. If none qualifies the point joins the outlier partition,
-// which is created on demand. It returns the point's new row ID.
+// which is created on demand. The point joins the partition's delta, so the
+// next query sees it (see soaLayout). It returns the point's new row ID.
 //
 //mmdr:hotpath
 func (idx *Index) Insert(p []float64) (int, error) {
@@ -78,10 +79,8 @@ func (idx *Index) insert(p []float64) (int, error) {
 		}
 	}
 
-	// Register the point in the dataset. The tree entry added below makes
-	// the SoA layout stale either way, so drop it up front (queries fall
-	// back to the per-entry tree scan until RebuildLayout).
-	idx.layout = nil
+	// Register the point in the dataset. The tree entry added below is the
+	// merge source; the layout learns of the point through its delta.
 	id := idx.ds.N
 	idx.ds.Append(p)
 	idx.partOf = append(idx.partOf, -1)
@@ -112,6 +111,7 @@ func (idx *Index) insert(p []float64) (int, error) {
 		idx.partOf[id] = int32(bestPart)
 		idx.slotOf[id] = int32(slot)
 		idx.tree.Insert(float64(bestPart)*idx.c+dist, uint32(id))
+		idx.addDelta(bestPart, id)
 		return id, nil
 	}
 
@@ -126,6 +126,7 @@ func (idx *Index) insert(p []float64) (int, error) {
 	idx.slotOf[id] = -1
 	idx.tree.Insert(float64(oi)*idx.c+dist, uint32(id))
 	idx.red.Outliers = append(idx.red.Outliers, id)
+	idx.addDelta(oi, id)
 	return id, nil
 }
 

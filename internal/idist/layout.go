@@ -1,5 +1,7 @@
 package idist
 
+import "math"
+
 // soaLayout is the structure-of-arrays mirror of the B⁺-tree's leaf level:
 // every stored entry, in global ascending leaf order, with the partition
 // vectors copied into per-partition row-major blocks ordered by that same
@@ -9,11 +11,15 @@ package idist
 // for — and a batched scan can serve a whole query tile from one pass over
 // the span.
 //
-// The layout is a derived cache: the tree stays authoritative, and any
-// structural mutation (Insert, Delete) invalidates the layout, dropping
-// every query path back to the per-entry tree scan until RebuildLayout (or
-// a fresh Build) re-materializes it. Both paths return bitwise-identical
-// answers; the layout only changes the memory access pattern.
+// The layout is the index's only read structure, and writes keep it valid
+// (the buffer-then-merge shape of the paper's Scalable MMDR, §4.3). Insert
+// appends the new row to its partition's exact delta, which every search
+// evaluates before its first annulus. Delete overwrites the row's vector
+// with +Inf, so every kernel scores it out without a per-row check, and
+// results drop deleted ids. When delta rows plus deleted rows reach ⌈√n⌉,
+// the write merges: rebuildLayout re-materializes the layout from the tree,
+// which stays the authoritative copy. While nothing is pending the search
+// paths skip the delta and the filter on one pending == 0 test.
 type soaLayout struct {
 	// Global leaf-order arrays, parallel: entry p of the scan order has key
 	// keys[p], record rids[p], and lives in leaf leafOf[p].
@@ -35,12 +41,13 @@ type soaLayout struct {
 	dims []int
 
 	// dens summarizes each partition's members for the fused search's
-	// first radius (firstRadius). It is derived from keys, so a rebuild
-	// after Insert/Delete refreshes it with the layout.
+	// first radius (firstRadius). It is derived from keys, so each merge
+	// refreshes it.
 	dens []partDensity
 
 	// rowOf maps a record ID to its row within its partition's block
-	// (-1 when the record is not in the tree). Indexed like partOf/slotOf.
+	// (-1 when the record is not in the block; IDs inserted since the merge
+	// lie beyond its end). Indexed like partOf/slotOf.
 	rowOf []int32
 
 	// codes holds, when a quantizer is attached, partition pi's PQ codes as
@@ -48,10 +55,20 @@ type soaLayout struct {
 	// codes[pi][r*M : (r+1)*M] for the partition codebook's M sub-blocks.
 	// nil without a quantizer; codes[pi] is nil for a partition the
 	// quantizer does not cover (one created by Insert after training), which
-	// the quantized scans serve with exact distances instead. Codes follow
-	// the same derived-cache discipline as the rest of the layout: dropped
-	// on Insert/Delete, re-encoded by RebuildLayout.
+	// the quantized scans serve with exact distances instead. A deleted
+	// row keeps its code until the merge: it can take a reservoir slot, but
+	// its exact re-rank distance is +Inf, so it never becomes an answer.
 	codes [][]byte
+
+	// Per-partition delta: the rows inserted since the last merge, in
+	// insertion order. dvecs[pi] is row-major dims[pi]-wide like vecs[pi],
+	// drids[pi] holds the rows' record IDs.
+	dvecs [][]float64
+	drids [][]uint32
+
+	// pending counts delta rows plus deleted rows since the last merge;
+	// the write that brings it to mergeAt = ⌈√n⌉ merges.
+	pending, mergeAt int
 }
 
 // partDensity is one partition's density summary: its member count n, the
@@ -61,19 +78,13 @@ type partDensity struct {
 	n, mean, invDim float64
 }
 
-// RebuildLayout re-materializes the SoA scan layout from the current tree.
-// Build calls it once, so a freshly built (or persisted-and-reloaded) index
-// always has the fast path; after dynamic Inserts or Deletes the layout is
-// dropped and queries fall back to the per-entry tree scan until this is
-// called again. The rebuild walks every entry once — O(n) time and one
-// extra copy of the stored vectors — so serving systems typically batch
-// their updates and rebuild once per batch. Not safe concurrently with
-// queries (same contract as Insert/Delete; ConcurrentIndex callers hold the
-// write lock).
-func (idx *Index) RebuildLayout() { idx.rebuildLayout() }
-
+// rebuildLayout materializes the SoA scan layout from the current tree:
+// Build calls it once, and every merge (see noteWrite) and SetQuantizer
+// call it again. The rebuild walks every entry once — O(n) time and one
+// extra copy of the stored vectors — and starts with an empty delta. Not
+// safe concurrently with queries (same contract as Insert/Delete;
+// ConcurrentIndex callers hold the write lock).
 func (idx *Index) rebuildLayout() {
-	idx.layout = nil
 	nParts := len(idx.parts)
 	total := idx.tree.Len()
 	lay := &soaLayout{
@@ -85,36 +96,27 @@ func (idx *Index) rebuildLayout() {
 		dims:      make([]int, nParts),
 		dens:      make([]partDensity, nParts),
 		rowOf:     make([]int32, len(idx.partOf)),
+		dvecs:     make([][]float64, nParts),
+		drids:     make([][]uint32, nParts),
+		mergeAt:   max(1, int(math.Ceil(math.Sqrt(float64(total))))),
 	}
 	for i := range lay.rowOf {
 		lay.rowOf[i] = -1
 	}
 
-	// Pass 1: capture the global leaf order and verify the partition spans
-	// are contiguous (keys ascending + disjoint per-partition key ranges
-	// guarantee it for trees built here; bail out defensively otherwise —
-	// a nil layout just means the slower per-entry scan).
+	// Pass 1: capture the global leaf order. Keys ascend and partition key
+	// ranges are disjoint, so each partition's entries form one contiguous
+	// span of it.
 	counts := make([]int, nParts)
-	ok := true
-	lastPart := -1
 	idx.tree.WalkLeaves(func(ord int, keys []float64, rids []uint32) bool {
 		for i, rid := range rids {
-			pi := int(idx.partOf[rid])
-			if pi < 0 || pi < lastPart || pi >= nParts {
-				ok = false
-				return false
-			}
-			lastPart = pi
-			counts[pi]++
+			counts[idx.partOf[rid]]++
 			lay.keys = append(lay.keys, keys[i])
 			lay.rids = append(lay.rids, rid)
 			lay.leafOf = append(lay.leafOf, int32(ord))
 		}
 		return true
 	})
-	if !ok {
-		return
-	}
 	for pi := 0; pi < nParts; pi++ {
 		ps := lay.partStart[pi]
 		lay.partStart[pi+1] = ps + counts[pi]
@@ -145,12 +147,7 @@ func (idx *Index) rebuildLayout() {
 		row := p - lay.partStart[pi]
 		lay.rowOf[rid] = int32(row)
 		d := lay.dims[pi]
-		dst := lay.vecs[pi][row*d : (row+1)*d]
-		if s := idx.parts[pi].sub; s != nil {
-			copy(dst, s.MemberCoords(int(idx.slotOf[rid])))
-		} else {
-			copy(dst, idx.ds.Point(int(rid)))
-		}
+		copy(lay.vecs[pi][row*d:(row+1)*d], idx.storedVec(pi, int(rid)))
 	}
 
 	// Pass 3 (quantizer attached): encode every block row into the parallel
@@ -181,7 +178,3 @@ func (idx *Index) rebuildLayout() {
 	}
 	idx.layout = lay
 }
-
-// HasLayout reports whether the SoA fast path is materialized (false after
-// Insert/Delete until RebuildLayout).
-func (idx *Index) HasLayout() bool { return idx.layout != nil }

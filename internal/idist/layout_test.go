@@ -4,62 +4,63 @@ import (
 	"math"
 	"runtime/debug"
 	"testing"
-
-	"mmdr/internal/index"
 )
 
-// SoA-layout lockdown. The layout is a derived cache of the tree's leaf
-// level; these tests pin down that (a) it mirrors the tree exactly, (b) the
-// fused batch kernels running over it are bitwise equivalent to the frozen
-// reference and the sequential-scan oracle, and (c) dynamic updates drop it
-// and RebuildLayout restores it without perturbing a single bit.
+// SoA-layout lockdown. The layout mirrors the tree's leaf level plus the
+// writes since the last merge; these tests pin down that (a) a merged
+// layout mirrors the tree exactly, (b) the fused batch kernels running over
+// it are bitwise equivalent to the frozen reference and the
+// sequential-scan oracle, and (c) writes keep it valid: inserts wait in the
+// delta, deletes are scored out, and the ⌈√n⌉-th write merges.
 
-// TestLayoutMirrorsTree checks the structural contract: global keys in
+// TestLayoutMirrorsTree checks the structural contract on freshly built
+// indexes (checkMirrorsTree).
+func TestLayoutMirrorsTree(t *testing.T) {
+	for name, m := range equivModels(t) {
+		checkMirrorsTree(t, name, m.idx)
+	}
+}
+
+// checkMirrorsTree asserts a merged layout: nothing pending, global keys in
 // ascending leaf order, contiguous per-partition spans agreeing with
 // partOf, rowOf the exact inverse of the row assignment, and block rows
 // bitwise equal to the stored vectors they copy.
-func TestLayoutMirrorsTree(t *testing.T) {
-	for name, m := range equivModels(t) {
-		lay := m.idx.layout
-		if lay == nil {
-			t.Fatalf("%s: Build left no layout", name)
+func checkMirrorsTree(t *testing.T, name string, idx *Index) {
+	t.Helper()
+	lay := idx.layout
+	if lay.pending != 0 {
+		t.Fatalf("%s: %d writes pending", name, lay.pending)
+	}
+	if len(lay.keys) != idx.tree.Len() {
+		t.Fatalf("%s: layout has %d entries, tree %d", name, len(lay.keys), idx.tree.Len())
+	}
+	if lay.partStart[len(idx.parts)] != len(lay.keys) {
+		t.Fatalf("%s: partition spans cover %d entries, want %d",
+			name, lay.partStart[len(idx.parts)], len(lay.keys))
+	}
+	for p := 1; p < len(lay.keys); p++ {
+		if lay.keys[p] < lay.keys[p-1] {
+			t.Fatalf("%s: layout keys out of order at %d", name, p)
 		}
-		if len(lay.keys) != m.idx.tree.Len() {
-			t.Fatalf("%s: layout has %d entries, tree %d", name, len(lay.keys), m.idx.tree.Len())
+		if lay.leafOf[p] < lay.leafOf[p-1] {
+			t.Fatalf("%s: leaf ordinals out of order at %d", name, p)
 		}
-		if lay.partStart[len(m.idx.parts)] != len(lay.keys) {
-			t.Fatalf("%s: partition spans cover %d entries, want %d",
-				name, lay.partStart[len(m.idx.parts)], len(lay.keys))
+	}
+	for p, rid := range lay.rids {
+		pi := int(idx.partOf[rid])
+		if p < lay.partStart[pi] || p >= lay.partStart[pi+1] {
+			t.Fatalf("%s: rid %d at position %d outside partition %d's span", name, rid, p, pi)
 		}
-		for p := 1; p < len(lay.keys); p++ {
-			if lay.keys[p] < lay.keys[p-1] {
-				t.Fatalf("%s: layout keys out of order at %d", name, p)
-			}
-			if lay.leafOf[p] < lay.leafOf[p-1] {
-				t.Fatalf("%s: leaf ordinals out of order at %d", name, p)
-			}
+		row := p - lay.partStart[pi]
+		if int(lay.rowOf[rid]) != row {
+			t.Fatalf("%s: rowOf[%d]=%d, want %d", name, rid, lay.rowOf[rid], row)
 		}
-		for p, rid := range lay.rids {
-			pi := int(m.idx.partOf[rid])
-			if p < lay.partStart[pi] || p >= lay.partStart[pi+1] {
-				t.Fatalf("%s: rid %d at position %d outside partition %d's span", name, rid, p, pi)
-			}
-			row := p - lay.partStart[pi]
-			if int(lay.rowOf[rid]) != row {
-				t.Fatalf("%s: rowOf[%d]=%d, want %d", name, rid, lay.rowOf[rid], row)
-			}
-			d := lay.dims[pi]
-			got := lay.vecs[pi][row*d : (row+1)*d]
-			var want []float64
-			if s := m.idx.parts[pi].sub; s != nil {
-				want = s.MemberCoords(int(m.idx.slotOf[rid]))
-			} else {
-				want = m.idx.ds.Point(int(rid))
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: block row for rid %d differs from stored vector at dim %d", name, rid, i)
-				}
+		d := lay.dims[pi]
+		got := lay.vecs[pi][row*d : (row+1)*d]
+		want := idx.storedVec(pi, int(rid))
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: block row for rid %d differs from stored vector at dim %d", name, rid, i)
 			}
 		}
 	}
@@ -113,66 +114,82 @@ func TestBatchRangeBitIdenticalToReferenceAndOracle(t *testing.T) {
 	}
 }
 
-// TestLayoutInvalidationAndRebuild pins the dynamic-update contract: Insert
-// and Delete drop the layout (queries fall back to the per-entry tree scan,
-// answers unchanged), and RebuildLayout restores the fast path with
-// bitwise-identical answers over the updated contents.
-func TestLayoutInvalidationAndRebuild(t *testing.T) {
-	ds, red := testSetup(t, 800, 12, 3, 31)
-	idx, err := Build(ds, red, Options{})
+// TestLayoutSurvivesWritesAndMerges pins the write contract: Insert and
+// Delete keep the layout and its vector blocks (a new row waits in its
+// partition's delta, a deleted row's vector turns +Inf), every answer
+// stays the live-point oracle's, and the write that brings the pending
+// count to ⌈√n⌉ merges into a layout that mirrors the tree again.
+func TestLayoutSurvivesWritesAndMerges(t *testing.T) {
+	idx, scan := writeFixture(t)
+	dead := map[int]bool{}
+	qs := equivQueries(idx.ds, 6, 777)
+	check := func(label string) {
+		t.Helper()
+		for _, q := range qs {
+			want := liveKNN(scan, q, 9, dead)
+			sameNeighbors(t, label+"/knn", idx.KNN(q, 9), want)
+			sameNeighbors(t, label+"/batch", idx.BatchKNN([][]float64{q}, 9, 1)[0], want)
+			sameNeighbors(t, label+"/range", idx.Range(q, 0.3), liveRange(scan, q, 0.3, dead))
+		}
+	}
+
+	lay := idx.layout
+	mergeAt := int(math.Ceil(math.Sqrt(float64(idx.ds.N))))
+	if lay.mergeAt != mergeAt {
+		t.Fatalf("merge point %d, want ⌈√%d⌉ = %d", lay.mergeAt, idx.ds.N, mergeAt)
+	}
+	id, err := idx.Insert(append([]float64(nil), idx.ds.Point(3)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.HasLayout() {
-		t.Fatal("Build left no layout")
+	pi := int(idx.partOf[id])
+	if idx.layout != lay || lay.pending != 1 || len(lay.drids[pi]) != 1 || int(lay.drids[pi][0]) != id {
+		t.Fatalf("insert did not land in partition %d's delta: pending %d, delta %v", pi, lay.pending, lay.drids[pi])
 	}
-	qs := equivQueries(ds, 12, 777)
+	check("after insert")
 
-	if _, err := idx.Insert(ds.Point(3)); err != nil {
-		t.Fatal(err)
+	const victim = 5
+	vp, row := int(idx.partOf[victim]), int(lay.rowOf[victim])
+	if !idx.Delete(victim) {
+		t.Fatalf("Delete(%d) found nothing", victim)
 	}
-	if idx.HasLayout() {
-		t.Fatal("Insert did not invalidate the layout")
-	}
-	// Fallback path: per-query and batch answers over the stale-layout
-	// index must agree with each other (both run the tree scan now).
-	fallback := make([][]index.Neighbor, len(qs))
-	for qi, q := range qs {
-		fallback[qi] = idx.KNN(q, 9)
-	}
-	batch := idx.BatchKNN(qs, 9, 2)
-	for qi := range qs {
-		sameNeighbors(t, "fallback-batch", batch[qi], fallback[qi])
-	}
-
-	idx.RebuildLayout()
-	if !idx.HasLayout() {
-		t.Fatal("RebuildLayout did not restore the layout")
-	}
-	// Fast path over the updated index: identical to the fallback answers.
-	for qi, q := range qs {
-		sameNeighbors(t, "rebuilt-solo", idx.KNN(q, 9), fallback[qi])
-	}
-	batch = idx.BatchKNN(qs, 9, 1)
-	for qi := range qs {
-		sameNeighbors(t, "rebuilt-batch", batch[qi], fallback[qi])
-	}
-
-	// Delete invalidates too, and the rebuilt layout reflects the removal.
-	if !idx.Delete(5) {
-		t.Fatal("Delete(5) found nothing")
-	}
-	if idx.HasLayout() {
-		t.Fatal("Delete did not invalidate the layout")
-	}
-	idx.RebuildLayout()
-	for _, q := range qs[:4] {
-		for _, nb := range idx.KNN(q, ds.N) {
-			if nb.ID == 5 {
-				t.Fatal("deleted point still reachable through the rebuilt layout")
-			}
+	dead[victim] = true
+	d := lay.dims[vp]
+	for _, v := range lay.vecs[vp][row*d : (row+1)*d] {
+		if !math.IsInf(v, 1) {
+			t.Fatalf("deleted row holds %v, want +Inf", v)
 		}
 	}
+	if idx.layout != lay || lay.pending != 2 {
+		t.Fatalf("delete replaced the layout or miscounted: pending %d", lay.pending)
+	}
+	check("after delete")
+	for _, nb := range idx.KNN(qs[0], idx.ds.N) {
+		if nb.ID == victim {
+			t.Fatal("deleted point reachable at k = n")
+		}
+	}
+
+	// Delete the delta row too, then write until the merge.
+	if !idx.Delete(id) {
+		t.Fatalf("Delete(%d) of a delta row found nothing", id)
+	}
+	dead[id] = true
+	writes := 3
+	for idx.layout == lay {
+		if writes >= mergeAt {
+			t.Fatalf("no merge after %d writes, merge point %d", writes, mergeAt)
+		}
+		if _, err := idx.Insert(append([]float64(nil), idx.ds.Point(10+writes)...)); err != nil {
+			t.Fatal(err)
+		}
+		writes++
+	}
+	if writes != mergeAt {
+		t.Fatalf("merged after %d writes, merge point %d", writes, mergeAt)
+	}
+	checkMirrorsTree(t, "merged", idx)
+	check("after merge")
 }
 
 // TestBatchRangeAllocationBudget pins the fused range path's allocation

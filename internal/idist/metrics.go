@@ -85,10 +85,15 @@ func (idx *Index) Metrics() *metrics.Registry {
 
 // captureSlowKNN runs off the hot path, claimed at most once per rate-limit
 // gap: re-run the query through the tracing path and file the structured
-// explain in the slow-query log. The re-run goes through KNNTrace, which
-// does not record, so capture cannot recurse.
+// explain in the slow-query log. The re-run does not record, so capture
+// cannot recurse, and charges no Sink, so the cost counter sees the query
+// once however slow it was.
 func (idx *Index) captureSlowKNN(q []float64, k int, d time.Duration) {
-	_, tr := idx.KNNTrace(q, k)
+	tr := &QueryTrace{K: k}
+	sc := idx.getScratch()
+	sc.counter = nil
+	idx.knnInto(sc, q, k, 0, tr)
+	idx.putScratch(sc)
 	qc := make([]float64, len(q))
 	copy(qc, q)
 	idx.ops.reg.Slow().Add(metrics.SlowQuery{

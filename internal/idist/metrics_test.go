@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmdr/internal/datagen"
+	"mmdr/internal/iostat"
 	"mmdr/internal/metrics"
 )
 
@@ -109,6 +110,49 @@ func TestSlowQueryCapture(t *testing.T) {
 	idx.BatchKNN([][]float64{ds.Point(12)}, 5, 1)
 	if got := reg.Slow().Total(); got != 2 {
 		t.Errorf("slow captures after batch = %d, want 2", got)
+	}
+}
+
+// TestSlowCaptureChargesNoSink: the slow-query capture re-runs a query for
+// its explain, and the re-run must not charge the index's cost counter a
+// second time. Two twin indexes answer the same queries; only one has a
+// registry, with every query over the slow threshold. Both counters must
+// read the same, for solo KNN and for BatchKNN's per-query capture.
+func TestSlowCaptureChargesNoSink(t *testing.T) {
+	ds, red := testSetup(t, 900, 12, 3, 17)
+	var plainCtr, capturedCtr iostat.Counter
+	plain, err := Build(ds, red, Options{Counter: &plainCtr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	captured, err := Build(ds, red, Options{Counter: &capturedCtr, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Op(opKNN).SetSlowPolicy(time.Nanosecond, 0)
+
+	plainCtr.Reset()
+	capturedCtr.Reset()
+	plain.KNN(ds.Point(11), 10)
+	captured.KNN(ds.Point(11), 10)
+	if got := reg.Slow().Total(); got != 1 {
+		t.Fatalf("slow captures = %d, want 1", got)
+	}
+	if a, b := plainCtr.Snapshot(), capturedCtr.Snapshot(); a != b {
+		t.Fatalf("KNN with capture charged %+v, without %+v", b, a)
+	}
+
+	qs := [][]float64{ds.Point(12), ds.Point(13), ds.Point(14)}
+	plainCtr.Reset()
+	capturedCtr.Reset()
+	plain.BatchKNN(qs, 5, 1)
+	captured.BatchKNN(qs, 5, 1)
+	if got := reg.Slow().Total(); got != 1+int64(len(qs)) {
+		t.Fatalf("slow captures after batch = %d, want %d", got, 1+len(qs))
+	}
+	if a, b := plainCtr.Snapshot(), capturedCtr.Snapshot(); a != b {
+		t.Fatalf("BatchKNN with capture charged %+v, without %+v", b, a)
 	}
 }
 

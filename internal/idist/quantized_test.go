@@ -16,9 +16,9 @@ import (
 //   2. BatchKNNQuantized is bitwise identical to solo KNNQuantized at any
 //      worker count and batch shape.
 //   3. The path allocates only what it returns (solo: 1, batch: 2+nq).
-//   4. With the layout dropped by a dynamic update the quantized entry
-//      points transparently produce exact answers, and RebuildLayout
-//      restores the coded path.
+//   4. The codes survive writes: rows inserted since the last merge are
+//      evaluated exactly, deleted rows never become answers, and the merge
+//      encodes the inserted rows.
 //
 // The same file carries the KNNApprox recall lockdown (satellite): recall
 // monotone non-decreasing in maxRounds, exact when unbounded.
@@ -183,72 +183,111 @@ func TestBatchKNNQuantizedMatchesSoloAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestQuantizedFallsBackExactAfterUpdate(t *testing.T) {
+// TestQuantizedCodesSurviveWrites: an insert keeps the code blocks and is
+// answered exactly from the delta at any budget, a deleted row never comes
+// back even while its code still takes a reservoir slot, and the batch
+// path agrees with the solo one throughout.
+func TestQuantizedCodesSurviveWrites(t *testing.T) {
 	const n, k = 900, 10
 	idx, _ := quantFixture(t, n, 83)
 	q := idx.ds.Point(3)
+	codes := idx.layout.codes
 
-	// Drop the layout the way a dynamic workload would.
-	pt := make([]float64, idx.ds.Dim)
-	copy(pt, q)
+	pt := append([]float64(nil), q...)
 	id, err := idx.Insert(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.layout != nil {
-		t.Fatal("Insert should drop the derived layout")
+	if !idx.HasQuantizer() || &idx.layout.codes[0] != &codes[0] {
+		t.Fatal("Insert replaced the code blocks")
 	}
-	got, err := idx.KNNQuantized(q, k, 5*k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameNeighbors(t, "fallback", got, idx.KNN(q, k))
-
-	batch, err := idx.BatchKNNQuantized([][]float64{q}, k, 5*k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameNeighbors(t, "batch fallback", batch[0], got)
-
-	// Rebuilding restores the coded path, including codes for the new row.
-	if !idx.Delete(id) {
-		t.Fatal("Delete of the freshly inserted row failed")
-	}
-	idx.RebuildLayout()
-	if !idx.HasQuantizer() {
-		t.Fatal("rebuilt layout should carry code blocks again")
-	}
-	if _, err := idx.KNNQuantized(q, k, n); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
-	const n, k = 600, 5
-	idx, _ := quantFixture(t, n, 89)
-	// Insert a clone of an existing subspace member so it lands in a coded
-	// partition, then rebuild: the new row must be findable via the coded
-	// path at full budget (exact semantics).
-	src := idx.ds.Point(10)
-	pt := make([]float64, len(src))
-	copy(pt, src)
-	id, err := idx.Insert(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.RebuildLayout()
-	got, err := idx.KNNQuantized(pt, k, idx.ds.N)
+	// The inserted copy of row 3 ties it at distance 0; at the smallest
+	// budget the delta still puts it in the answer, exactly.
+	got, err := idx.KNNQuantized(pt, k, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, nb := range got {
-		if nb.ID == id {
+		if nb.ID == id && nb.Dist == 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("inserted row %d missing from full-budget quantized result %v", id, got)
+		t.Fatalf("inserted row %d missing from the quantized answer %v", id, got)
+	}
+	batch, err := idx.BatchKNNQuantized([][]float64{pt, idx.ds.Point(40)}, k, 5*k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := idx.KNNQuantized(pt, k, 5*k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameNeighbors(t, "batch/solo after insert", batch[0], solo)
+
+	// Deleting row 3 scores it out at every budget.
+	if !idx.Delete(3) {
+		t.Fatal("Delete(3) found nothing")
+	}
+	for _, b := range []int{k, 5 * k, n} {
+		got, err := idx.KNNQuantized(pt, k, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != k {
+			t.Fatalf("budget %d: %d answers, want %d", b, len(got), k)
+		}
+		for _, nb := range got {
+			if nb.ID == 3 {
+				t.Fatalf("budget %d: deleted row 3 in the answer", b)
+			}
+		}
+	}
+}
+
+// TestRebuildLayoutEncodesInsertedRows: the merge (rebuildLayout) moves
+// inserted rows from the delta into the blocks with their codes, and the
+// code-path answer at full budget still finds them.
+func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
+	const n, k = 600, 5
+	idx, _ := quantFixture(t, n, 89)
+	// Insert clones of existing subspace members, so they land in coded
+	// partitions, until a write merges.
+	var ids []int
+	for lay := idx.layout; idx.layout == lay; {
+		id, err := idx.Insert(append([]float64(nil), idx.ds.Point(10+len(ids))...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	lay := idx.layout
+	for _, id := range ids {
+		pi := int(idx.partOf[id])
+		cb := idx.quant.Books[pi]
+		if pi >= len(lay.codes) || lay.codes[pi] == nil || lay.rowOf[id] < 0 {
+			t.Fatalf("row %d not merged into a coded block", id)
+		}
+		row := int(lay.rowOf[id])
+		want := make([]byte, cb.M)
+		cb.EncodeInto(idx.storedVec(pi, id), want)
+		if got := lay.codes[pi][row*cb.M : (row+1)*cb.M]; string(got) != string(want) {
+			t.Fatalf("row %d: code %v after the merge, want %v", id, got, want)
+		}
+		got, err := idx.KNNQuantized(idx.ds.Point(id), k, idx.ds.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, nb := range got {
+			if nb.ID == id {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("inserted row %d missing from full-budget quantized result %v", id, got)
+		}
 	}
 }
 

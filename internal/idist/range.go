@@ -1,7 +1,6 @@
 package idist
 
 import (
-	"math"
 	"time"
 
 	"mmdr/internal/index"
@@ -12,78 +11,30 @@ import (
 // reduced coordinates for subspace members, original space for outliers) is
 // at most r, sorted ascending by distance. Range queries are the other
 // query class iDistance supports natively: the query sphere maps to one key
-// annulus per partition, no iteration required.
+// annulus per partition, no iteration required. The search runs as a fused
+// tile of one (rangeTile).
 //
 //mmdr:hotpath budget pinned by alloc_test: 1 alloc non-empty, 0 empty
 func (idx *Index) Range(q []float64, r float64) []index.Neighbor {
-	sc := idx.getScratch()
-	defer idx.putScratch(sc)
+	var qs [1][]float64
+	var out [1][]index.Neighbor
+	qs[0] = q
+	bs := idx.getBatchScratch()
 	if idx.ops == nil {
-		return idx.rangeInto(sc, q, r)
+		idx.rangeTile(bs, qs[:], r, out[:])
+	} else {
+		start := time.Now()
+		idx.rangeTile(bs, qs[:], r, out[:])
+		idx.ops.rng.Record(time.Since(start))
 	}
-	start := time.Now()
-	out := idx.rangeInto(sc, q, r)
-	idx.ops.rng.Record(time.Since(start))
-	return out
+	idx.putBatchScratch(bs)
+	return out[0]
 }
 
-// rangeInto runs the range scan using sc's buffers. Candidates are filtered
-// and accumulated in SQUARED distance (d² ≤ r² selects the same ball as
-// d ≤ r) with the single sqrt per result taken when materializing the
-// returned slice — the only allocation of a non-empty query.
-//
-//mmdr:hotpath
-func (idx *Index) rangeInto(sc *queryScratch, q []float64, r float64) []index.Neighbor {
-	sc.q = q
-	sc.r2 = r * r
-	sc.rangeBuf = sc.rangeBuf[:0]
-	for pi := range idx.parts {
-		p := &idx.parts[pi]
-		st := &sc.states[pi]
-		var dist float64
-		if p.sub != nil {
-			p.sub.ProjectInto(q, st.proj)
-			dist = math.Sqrt(matrix.SqNorm(st.proj))
-		} else {
-			dist = matrix.Dist(q, p.centroid)
-		}
-		lo := dist - r
-		if lo < 0 {
-			lo = 0
-		}
-		hi := dist + r
-		if hi > p.maxRadius {
-			hi = p.maxRadius
-		}
-		if lo > hi {
-			continue // query sphere cannot reach this partition
-		}
-		base := float64(pi) * idx.c
-		sc.beginScan(pi)
-		if idx.layout != nil {
-			idx.scanBlockRange(sc, pi, base+lo, base+hi, false, false)
-		} else {
-			idx.tree.RangeBetween(base+lo, base+hi, false, false, sc.visitRange)
-		}
-	}
-	if len(sc.rangeBuf) == 0 {
-		return nil
-	}
-	// Squared distances sort in the same order as distances; sorting before
-	// the sqrt keeps the comparison cheap and the result order identical.
-	index.SortNeighbors(sc.rangeBuf)
-	out := make([]index.Neighbor, len(sc.rangeBuf))
-	copy(out, sc.rangeBuf)
-	for i := range out {
-		out[i].Dist = math.Sqrt(out[i].Dist)
-	}
-	return out
-}
-
-// Delete removes point id from the index. The B⁺-tree entry is deleted;
-// the subspace's member slot is left in place (tombstoned) so the reduced
-// coordinates of other members keep their offsets. It reports whether the
-// point was present.
+// Delete removes point id from the index. The B⁺-tree entry is deleted and
+// the layout row tombstoned (see soaLayout); the subspace's member slot is
+// left in place so the reduced coordinates of other members keep their
+// offsets. It reports whether the point was present.
 func (idx *Index) Delete(id int) bool {
 	if idx.ops != nil {
 		start := time.Now()
@@ -112,11 +63,8 @@ func (idx *Index) delete(id int) bool {
 	if !idx.tree.Delete(key, uint32(id)) {
 		return false
 	}
-	// The SoA layout mirrors the tree's leaf level; a structural change
-	// invalidates it (queries fall back to the per-entry tree scan until
-	// RebuildLayout).
-	idx.layout = nil
 	idx.partOf[id] = -1
 	idx.slotOf[id] = -1
+	idx.tombstone(pi, id)
 	return true
 }

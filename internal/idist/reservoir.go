@@ -20,10 +20,10 @@ import (
 // heap would keep is lost. The buffer holds between k and 2k-1 candidates
 // at rest; the re-rank simply evaluates all of them, which can only improve
 // recall over re-ranking exactly k. Determinism: appends happen in row scan
-// order (identical in the solo and fused paths) and the quickselect pivot
-// choice depends only on the buffer contents, so reservoir states — and
-// therefore candidate sets and answers — stay bitwise identical across
-// paths and worker counts.
+// order (the same at every tile shape) and the quickselect pivot choice
+// depends only on the buffer contents, so reservoir states — and therefore
+// candidate sets and answers — stay bitwise identical across tile shapes
+// and worker counts.
 //
 // With k clamped to the row count (see the call sites), a budget >= n query
 // never fills the buffer: the bound stays +Inf, every scanned row is kept,
@@ -82,7 +82,7 @@ func (r *quantReservoir) compact() {
 // selectSmallest partially orders a so that a[:k] are the k smallest by
 // Dist and a[k-1] is the k-th smallest (classic nth_element). Hoare
 // partitioning with a median-of-three pivot on fixed positions: wholly
-// deterministic in the input, which the bitwise solo/fused equivalence of
+// deterministic in the input, which the bitwise batch/solo equivalence of
 // the quantized path relies on.
 func selectSmallest(a []index.Neighbor, k int) {
 	lo, hi := 0, len(a)-1

@@ -2,37 +2,30 @@ package idist
 
 import (
 	"mmdr/internal/index"
+	"mmdr/internal/iostat"
 	"mmdr/internal/matrix"
 )
 
-// queryScratch bundles every per-query buffer the search paths need so a
-// single query allocates nothing beyond its returned neighbor slice. A
+// queryScratch bundles every per-query buffer the solo exact search needs
+// so a single query allocates nothing beyond its returned neighbor slice. A
 // scratch is owned by one query at a time: single-query calls borrow one
-// from the index's sync.Pool, batch queries hold one per worker for a whole
-// chunk of queries.
-//
-// The two btree visit callbacks are bound once, when the scratch is created;
-// per-scan parameters travel through scratch fields instead of fresh closure
-// captures, which is what keeps the inner tree scans allocation-free.
+// from the index's sync.Pool, BatchKNNTrace holds one per worker for a
+// whole chunk of queries.
 type queryScratch struct {
-	idx      *Index
-	states   []queryState     // per-partition search state
-	projBuf  []float64        // backing array the states' proj views are carved from
-	top      *index.TopK      // KNN accumulator (squared distances)
-	rangeBuf []index.Neighbor // Range accumulator (squared distances)
+	idx     *Index
+	states  []queryState // per-partition search state
+	projBuf []float64    // backing array the states' proj views are carved from
+	top     *index.TopK  // KNN accumulator (squared distances)
 
-	// Per-scan state read by the visit callbacks.
-	q       []float64   // original-space query (outlier partition distances)
-	part    *partition  // partition currently being scanned
-	st      *queryState // its search state
-	pi      int         // partition index (selects the SoA block)
-	x       []float64   // query-side vector of the scan: st.proj or q
-	r2      float64     // Range predicate, squared
-	cand    int         // candidates evaluated by the current scan
-	abandon bool        // vectors long enough for early abandoning to pay off
+	// counter is the Sink the query charges: the index's own, or nil for
+	// the slow-query capture's re-run, which must not count a query twice.
+	counter iostat.Sink
 
-	visitKNN   func(key float64, rid uint32) bool
-	visitRange func(key float64, rid uint32) bool
+	// Per-scan state.
+	q       []float64 // original-space query (outlier partition distances)
+	x       []float64 // query-side vector of the scan: the projection or q
+	cand    int       // candidates evaluated by the current scan
+	abandon bool      // vectors long enough for early abandoning to pay off
 }
 
 // getScratch returns a ready-to-use scratch sized for the index's current
@@ -41,9 +34,8 @@ func (idx *Index) getScratch() *queryScratch {
 	sc, _ := idx.scratchPool.Get().(*queryScratch)
 	if sc == nil {
 		sc = &queryScratch{idx: idx, top: index.NewTopK(0)}
-		sc.visitKNN = sc.knnVisit
-		sc.visitRange = sc.rangeVisit
 	}
+	sc.counter = idx.counter
 	sc.ensure()
 	return sc
 }
@@ -51,7 +43,7 @@ func (idx *Index) getScratch() *queryScratch {
 // putScratch returns a scratch to the pool. References into caller data are
 // dropped so the pool never pins a query vector.
 func (idx *Index) putScratch(sc *queryScratch) {
-	sc.q, sc.part, sc.st = nil, nil, nil
+	sc.q, sc.x = nil, nil
 	idx.scratchPool.Put(sc)
 }
 
@@ -86,80 +78,18 @@ func (sc *queryScratch) ensure() {
 	}
 }
 
-// beginScan primes the per-scan callback state for partition pi. The
-// abandon flag is decided once per scan, not per candidate: subspace scans
-// compare vectors of the partition's reduced dimensionality, outlier scans
-// compare full-dimensional points, and only vectors of at least
+// beginScan primes the per-scan state for partition pi. The abandon flag is
+// decided once per scan, not per candidate: subspace scans compare vectors
+// of the partition's reduced dimensionality, outlier scans compare
+// full-dimensional points, and only vectors of at least
 // matrix.EarlyAbandonMinLen amortize the early-abandon bound checks.
 func (sc *queryScratch) beginScan(pi int) {
-	sc.pi = pi
-	sc.part = &sc.idx.parts[pi]
-	sc.st = &sc.states[pi]
-	if sub := sc.part.sub; sub != nil {
-		sc.x = sc.st.proj
+	idx := sc.idx
+	if sub := idx.parts[pi].sub; sub != nil {
+		sc.x = sc.states[pi].proj
 		sc.abandon = sub.Dr >= matrix.EarlyAbandonMinLen
 	} else {
 		sc.x = sc.q
-		sc.abandon = sc.idx.ds.Dim >= matrix.EarlyAbandonMinLen
+		sc.abandon = idx.ds.Dim >= matrix.EarlyAbandonMinLen
 	}
-}
-
-// knnVisit evaluates one tree entry against the running top-k, in squared
-// distance. The current k-th squared distance bounds the inner loop: a
-// partial sum already above it proves the candidate cannot enter the heap,
-// so the loop abandons early (candidates that survive get their exact,
-// bit-identical squared distance — see matrix.SqDistEarlyAbandon).
-//
-//mmdr:hotpath innermost per-candidate callback of every KNN scan
-func (sc *queryScratch) knnVisit(_ float64, rid uint32) bool {
-	idx := sc.idx
-	id := int(rid)
-	var x, y []float64
-	if sc.part.sub != nil {
-		x, y = sc.st.proj, sc.part.sub.MemberCoords(int(idx.slotOf[id]))
-	} else {
-		x, y = idx.ds.Point(id), sc.q
-	}
-	var dSq float64
-	if sc.abandon {
-		dSq = matrix.SqDistEarlyAbandon(x, y, sc.top.Kth())
-	} else {
-		dSq = matrix.SqDist(x, y)
-	}
-	if idx.counter != nil {
-		idx.counter.CountDistanceOps(1)
-	}
-	sc.cand++
-	sc.top.Add(id, dSq)
-	return true
-}
-
-// rangeVisit evaluates one tree entry against the squared query radius. The
-// radius itself bounds the inner loop: an abandoned (partial) sum is already
-// > r², so the d² ≤ r² filter rejects it either way, and accepted candidates
-// carry their exact squared distance.
-//
-//mmdr:hotpath innermost per-candidate callback of every range scan
-func (sc *queryScratch) rangeVisit(_ float64, rid uint32) bool {
-	idx := sc.idx
-	id := int(rid)
-	var x, y []float64
-	if sc.part.sub != nil {
-		x, y = sc.st.proj, sc.part.sub.MemberCoords(int(idx.slotOf[id]))
-	} else {
-		x, y = idx.ds.Point(id), sc.q
-	}
-	var dSq float64
-	if sc.abandon {
-		dSq = matrix.SqDistEarlyAbandon(x, y, sc.r2)
-	} else {
-		dSq = matrix.SqDist(x, y)
-	}
-	if idx.counter != nil {
-		idx.counter.CountDistanceOps(1)
-	}
-	if dSq <= sc.r2 {
-		sc.rangeBuf = append(sc.rangeBuf, index.Neighbor{ID: id, Dist: dSq})
-	}
-	return true
 }

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"time"
 
 	"mmdr"
@@ -38,12 +37,6 @@ type (
 	DeleteRequest struct {
 		ID int `json:"id"`
 	}
-	// ReloadRequest is the POST /reload body; Path names a model file
-	// (mmdr.Save format) readable by the server process.
-	ReloadRequest struct {
-		Path string `json:"path"`
-	}
-
 	// NeighborJSON is one answer entry.
 	NeighborJSON struct {
 		ID   int     `json:"id"`
@@ -61,7 +54,7 @@ type (
 	DeleteResponse struct {
 		Found bool `json:"found"`
 	}
-	// OKResponse answers /reload and /healthz.
+	// OKResponse answers /healthz.
 	OKResponse struct {
 		OK         bool  `json:"ok"`
 		Generation int64 `json:"generation,omitempty"`
@@ -98,13 +91,15 @@ type httpServer struct {
 //	POST /range   {"q":[...],"r":0.5}   -> {"neighbors":[...]}
 //	POST /insert  {"p":[...]}           -> {"id":123}
 //	POST /delete  {"id":123}            -> {"found":true}
-//	POST /reload  {"path":"m.mmdr"}     -> {"ok":true,"generation":2}
 //	GET  /healthz                        -> {"ok":true}
 //	GET  /statusz                        -> serve.Status JSON
 //	GET  /metrics                        -> Prometheus text (with a registry)
 //	GET  /debug/pprof/*                  -> pprof profiles
 //
-// Overload answers 429, shutdown 503, malformed input 400.
+// Overload answers 429, shutdown 503, malformed input 400. There is no
+// reload route: a model path taken from a request would let any client
+// make the server open any file it can read. Reload and ReloadFrom swap
+// models in process.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/knn", func(w http.ResponseWriter, r *http.Request) {
@@ -154,23 +149,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, DeleteResponse{Found: found})
-	})
-	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
-		var req ReloadRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		f, err := os.Open(req.Path)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		defer f.Close()
-		if err := s.ReloadFrom(f); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, OKResponse{OK: true, Generation: s.gen.Load()})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, OKResponse{OK: true})
@@ -272,7 +250,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 // writeError maps serving errors to status codes: overload 429, shutdown
-// 503, everything else (validation, missing files) 400.
+// 503, everything else (validation) 400.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {

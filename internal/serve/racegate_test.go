@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"mmdr"
 	"mmdr/internal/verify"
 )
 
@@ -44,6 +45,9 @@ func TestRaceGate(t *testing.T) {
 		{Name: "slow_client_writes", Run: scenarioSlowClient},
 		{Name: "racing_close", Run: func(t *testing.T, w *verify.Watchdog) {
 			scenarioRacingClose(t, w, clients)
+		}},
+		{Name: "write_storm", Run: func(t *testing.T, w *verify.Watchdog) {
+			scenarioWriteStorm(t, w, iters, clients)
 		}},
 	})
 }
@@ -345,4 +349,147 @@ func scenarioRacingClose(t *testing.T, w *verify.Watchdog, clients int) {
 	if _, err := srv.KNN(queries[0], 3); err != ErrClosed {
 		t.Errorf("KNN after racing closes: %v, want ErrClosed", err)
 	}
+}
+
+// scenarioWriteStorm streams /knn and /range requests over HTTP while one
+// writer sends /insert and /delete requests, enough to cross several
+// layout merges (one every ⌈√n⌉ writes) under the index write lock.
+// Afterwards every served answer must equal a direct index that replayed
+// the same writes.
+func scenarioWriteStorm(t *testing.T, w *verify.Watchdog, iters, clients int) {
+	model, queries := testModel(t, 400, 16, 151)
+	replay := cloneModel(t, model)
+	srv, err := New(model, Options{Shards: 2, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr.String()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	post := func(path string, in, out any) (int, error) {
+		body, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := client.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, nil
+		}
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[(c+i)%len(queries)]
+				var out NeighborsResponse
+				var code int
+				var err error
+				if i%2 == 0 {
+					w.Wrap("storm-http-knn", func() { code, err = post("/knn", KNNRequest{Q: q, K: 5}, &out) })
+				} else {
+					w.Wrap("storm-http-range", func() { code, err = post("/range", RangeRequest{Q: q, R: 0.3}, &out) })
+				}
+				if err != nil || (code != http.StatusOK && code != http.StatusTooManyRequests) {
+					t.Errorf("read during writes: status %d, %v", code, err)
+					return
+				}
+			}
+		}(c)
+	}
+
+	// The writer: inserts of points near the queries, every third one
+	// deleted again. At n = 400 a merge falls every 20 writes, so even the
+	// short run's 75 writes cross three.
+	type write struct {
+		p  []float64 // nil for a delete
+		id int
+	}
+	var log []write
+	writes := max(3*iters/2, 75)
+	for i := 0; len(log) < writes; i++ {
+		p := append([]float64(nil), queries[i%len(queries)]...)
+		p[i%len(p)] += 0.01 * float64(i%5+1)
+		var ins InsertResponse
+		var code int
+		w.Wrap("storm-http-insert", func() { code, err = post("/insert", InsertRequest{P: p}, &ins) })
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("insert %d: status %d, %v", i, code, err)
+		}
+		log = append(log, write{p: p, id: ins.ID})
+		if i%3 != 2 {
+			continue
+		}
+		var del DeleteResponse
+		w.Wrap("storm-http-delete", func() { code, err = post("/delete", DeleteRequest{ID: ins.ID}, &del) })
+		if err != nil || code != http.StatusOK || !del.Found {
+			t.Fatalf("delete of %d: status %d, found %v, %v", ins.ID, code, del.Found, err)
+		}
+		log = append(log, write{id: ins.ID})
+	}
+	close(stop)
+	wg.Wait()
+
+	direct, err := replay.NewIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wr := range log {
+		if wr.p == nil {
+			if found, err := direct.Delete(wr.id); err != nil || !found {
+				t.Fatalf("replayed delete of %d: found %v, %v", wr.id, found, err)
+			}
+			continue
+		}
+		if id, err := direct.Insert(wr.p); err != nil || id != wr.id {
+			t.Fatalf("replayed insert got id %d (%v), server assigned %d", id, err, wr.id)
+		}
+	}
+	for qi, q := range queries {
+		var knn, rng NeighborsResponse
+		if code, err := post("/knn", KNNRequest{Q: q, K: 5}, &knn); err != nil || code != http.StatusOK {
+			t.Fatalf("final /knn %d: status %d, %v", qi, code, err)
+		}
+		sameNeighbors(t, fmt.Sprintf("served knn %d", qi), fromJSON(knn.Neighbors), direct.KNN(q, 5))
+		if code, err := post("/range", RangeRequest{Q: q, R: 0.3}, &rng); err != nil || code != http.StatusOK {
+			t.Fatalf("final /range %d: status %d, %v", qi, code, err)
+		}
+		want, err := direct.Range(q, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameNeighbors(t, fmt.Sprintf("served range %d", qi), fromJSON(rng.Neighbors), want)
+	}
+	w.Wrap("close", func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+}
+
+// fromJSON converts wire answers back to index neighbors.
+func fromJSON(nbs []NeighborJSON) []mmdr.Neighbor {
+	out := make([]mmdr.Neighbor, len(nbs))
+	for i, n := range nbs {
+		out[i] = mmdr.Neighbor{ID: n.ID, Dist: n.Dist}
+	}
+	return out
 }

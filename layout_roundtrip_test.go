@@ -10,8 +10,8 @@ import (
 // Layout round-trip lockdown at the public API: build → persist → load →
 // NewIndex rebuilds the blocked vector layout from scratch, and every query
 // path (KNN, Range, fused BatchKNN/BatchRange) over the reloaded index is
-// bitwise identical to the original. Then dynamic churn drops the layout,
-// RebuildLayout restores it, and answers never move.
+// bitwise identical to the original. Then insert/delete churn runs through
+// the layout's delta and across its merges, and answers never move.
 
 func flatQueries(data []float64, dim int, rows ...int) []float64 {
 	out := make([]float64, 0, len(rows)*dim)
@@ -89,27 +89,39 @@ func TestLayoutSurvivesSaveLoadRebuild(t *testing.T) {
 	}
 	sameBatch(t, "reload range", loadRange, origRange)
 
-	// Dynamic churn drops the layout; the batch path falls back and still
-	// matches, and RebuildLayout restores the fused path bit for bit.
-	p := make([]float64, dim)
-	copy(p, data[:dim])
-	p[0] += 1e-4
-	id, err := loadIdx.Insert(p)
-	if err != nil {
-		t.Fatal(err)
+	// Churn: each point inserted and deleted again leaves the live set
+	// unchanged, so answers must not move — with the writes pending in the
+	// layout's delta, and after the ⌈√n⌉-th write merges them (90 writes
+	// cross three merges at n = 900).
+	for i := 0; i < 45; i++ {
+		p := make([]float64, dim)
+		copy(p, data[i*dim:(i+1)*dim])
+		p[0] += 1e-4
+		id, err := loadIdx.Insert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			// A near-copy of row 0 is its own nearest neighbor.
+			nbs := loadIdx.KNN(p, 1)
+			if len(nbs) != 1 || nbs[0].ID != id {
+				t.Fatalf("inserted point %d not its own nearest neighbor: %v", id, nbs)
+			}
+		}
+		if _, err := loadIdx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || i == 44 {
+			churned, err := loadIdx.BatchKNN(queries, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBatch(t, "churned batch", churned, origBatch)
+			churnedRange, err := loadIdx.BatchRange(queries, 0.4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBatch(t, "churned range", churnedRange, origRange)
+		}
 	}
-	if _, err := loadIdx.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	churned, err := loadIdx.BatchKNN(queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBatch(t, "churned fallback batch", churned, origBatch)
-	loadIdx.RebuildLayout()
-	rebuilt, err := loadIdx.BatchKNN(queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBatch(t, "rebuilt batch", rebuilt, origBatch)
 }

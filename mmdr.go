@@ -301,7 +301,11 @@ func (m *Model) AvgDim() float64 { return m.result.Summarize().AvgDim }
 // exactly once, orthonormal bases, consistent shapes).
 func (m *Model) Validate() error { return m.result.Validate(m.ds.N) }
 
-// Index is a KNN index over a reduced model.
+// Index is a KNN index over a reduced model. The extended iDistance index
+// answers every query from one blocked vector layout, which Insert and
+// Delete keep valid: a new point joins a small exact delta, a deleted point
+// is scored out, and every ⌈√n⌉ writes the index folds them in. Answers
+// stay exact throughout.
 type Index struct {
 	model       *Model
 	idx         index.KNNIndex
@@ -348,8 +352,9 @@ func (idx *Index) KNN(q []float64, k int) []Neighbor {
 func (idx *Index) Name() string { return idx.idx.Name() }
 
 // Insert adds a new point to the dataset and the index (extended iDistance
-// dynamic insertion, paper §5). It returns the new point's row ID, or an
-// error if the index scheme does not support insertion.
+// dynamic insertion, paper §5); the next query sees it. It returns the new
+// point's row ID, or an error if the index scheme does not support
+// insertion.
 func (idx *Index) Insert(p []float64) (int, error) {
 	if idx.maint == nil {
 		return 0, fmt.Errorf("mmdr: %s index does not support insertion", idx.Name())
@@ -381,19 +386,6 @@ func (idx *Index) Delete(id int) (bool, error) {
 		return false, fmt.Errorf("mmdr: %s index does not support deletion", idx.Name())
 	}
 	return idx.maint.Delete(id), nil
-}
-
-// RebuildLayout re-materializes the extended iDistance index's blocked
-// vector layout after dynamic Insert/Delete churn. The layout is a derived
-// cache that scans read contiguously; structural mutations drop it (queries
-// transparently fall back to per-entry tree visits, answers unchanged), and
-// rebuilding restores the fast scan and fused-batch paths. No-op on index
-// schemes without a layout (sequential scan). Answers are bit-identical
-// with or without the layout — only throughput changes.
-func (idx *Index) RebuildLayout() {
-	if idx.maint != nil {
-		idx.maint.RebuildLayout()
-	}
 }
 
 // EvaluatePrecision measures the model's mean KNN precision over a query
