@@ -72,7 +72,8 @@ gate:
 # serving scenarios, the benchmark module's tests, and a short fuzz smoke
 # of the query-equivalence targets (each holds EXACT equality between the
 # kernelized tree paths and the sequential-scan oracle, the last one across
-# random insert/delete streams and the layout merges they trigger).
+# random insert/delete streams and the layout merges they trigger) and of
+# the row kernels (bitwise equal to the per-row kernels at every width).
 check: fmt-check perfbench
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmdrlint ./...
@@ -83,6 +84,8 @@ check: fmt-check perfbench
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzRangeVsSeqScan -fuzztime 10s
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzBatchKNNvsKNN -fuzztime 10s
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzWritesVsSeqScan -fuzztime 10s
+	$(GO) test ./internal/matrix/ -run '^$$' -fuzz FuzzSqDistToRows -fuzztime 10s
+	$(GO) test ./internal/matrix/ -run '^$$' -fuzz FuzzADCToRows -fuzztime 10s
 
 # Regenerate BENCH_parallel.json: serial vs parallel build time, sequential
 # vs fused-batch query throughput, and the worker sweep {1,2,4,8} at paper

@@ -119,7 +119,8 @@ func TestFirstRadiusZeroSpreadPartition(t *testing.T) {
 	qs := [][]float64{ds.Point(0), ds.Point(copies + 7), {4.9, 5, 5.1, 5}}
 	bs := idx.getBatchScratch()
 	idx.primeTile(bs, qs[:1])
-	if r0 := idx.firstRadius(bs, 0, 5); r0 != idx.deltaR {
+	idx.densityRadii(bs, 5)
+	if r0 := idx.firstRadius(bs, 0); r0 != idx.deltaR {
 		t.Fatalf("query on the coincident points opens at %v, want the deltaR fallback %v", r0, idx.deltaR)
 	}
 	idx.putBatchScratch(bs)

@@ -103,6 +103,13 @@ type batchScratch struct {
 	bounds []float64 // their early-abandon bounds
 	out    []float64 // kernel results
 
+	chunk [rowChunk]float64 // row scores of the current row-scan chunk
+
+	// radEst[pi] is partition pi's density estimate of the k-th neighbor
+	// distance for the current KNN tile (see firstRadius), +Inf for an
+	// empty partition.
+	radEst []float64
+
 	rangeBufs [][]index.Neighbor // per-query Range accumulators (squared)
 
 	// Quantized-path state (sized by ensureQuant, see fusedquant.go):
@@ -173,8 +180,10 @@ func (bs *batchScratch) ensure() {
 	bs.rowHi = bs.rowHi[:need]
 	if cap(bs.projOff) < nP {
 		bs.projOff = make([]int, nP)
+		bs.radEst = make([]float64, nP)
 	}
 	bs.projOff = bs.projOff[:nP]
+	bs.radEst = bs.radEst[:nP]
 	off := 0
 	for pi := 0; pi < nP; pi++ {
 		bs.projOff[pi] = off
@@ -220,10 +229,11 @@ func (idx *Index) primeTile(bs *batchScratch, queries [][]float64) {
 func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]index.Neighbor) {
 	nq := len(queries)
 	idx.primeTile(bs, queries)
+	idx.densityRadii(bs, k)
 	pending := idx.layout.pending != 0
 	for j := 0; j < nq; j++ {
 		bs.tops[j].Reset(k)
-		bs.rad[j] = idx.firstRadius(bs, j, k)
+		bs.rad[j] = idx.firstRadius(bs, j)
 		bs.allDone[j] = true
 		if pending {
 			idx.tileDelta(bs, j, true, 0)
@@ -249,25 +259,36 @@ func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]
 	}
 }
 
-// firstRadius returns tile query j's opening search radius: the smallest,
-// over partitions p, of m_p·(k/n_p)^(1/d_p) + max(0, dist_p − R_p). The
-// first term estimates the k-th neighbor distance of a query inside p if
-// p's n_p members spread uniformly over a d_p-dimensional ball of radius
-// m_p, their mean distance to the reference point; the second is the gap
-// from the query to p's data sphere. A zero estimate (members all on the
-// reference point) falls back to deltaR. The radius only sets where the
-// search starts, never what it returns.
+// densityRadii fills bs.radEst for a tile of k-NN queries: partition p's
+// estimate m_p·(k/n_p)^(1/d_p) of the k-th neighbor distance of a query
+// inside p, if p's n_p members spread uniformly over a d_p-dimensional ball
+// of radius m_p, their mean distance to the reference point. It depends on
+// k and the partition only, so it is computed once per tile, not per query.
 //
 //mmdr:hotpath
-func (idx *Index) firstRadius(bs *batchScratch, j, k int) float64 {
+func (idx *Index) densityRadii(bs *batchScratch, k int) {
 	dens := idx.layout.dens
-	parts := idx.parts[:len(dens)]
-	r0 := math.Inf(1)
+	est := bs.radEst[:len(dens)]
 	for pi, pd := range dens {
-		if pd.n < 1 {
-			continue
+		est[pi] = math.Inf(1)
+		if pd.n >= 1 {
+			est[pi] = pd.mean * math.Pow(float64(k)/pd.n, pd.invDim)
 		}
-		r := pd.mean * math.Pow(float64(k)/pd.n, pd.invDim)
+	}
+}
+
+// firstRadius returns tile query j's opening search radius: the smallest,
+// over partitions p, of p's density estimate (densityRadii) plus the gap
+// max(0, dist_p − R_p) from the query to p's data sphere. A zero estimate
+// (members all on the reference point) falls back to deltaR. The radius
+// only sets where the search starts, never what it returns.
+//
+//mmdr:hotpath
+func (idx *Index) firstRadius(bs *batchScratch, j int) float64 {
+	est := bs.radEst
+	parts := idx.parts[:len(est)]
+	r0 := math.Inf(1)
+	for pi, r := range est {
 		if gap := bs.dist[pi*batchTile+j] - parts[pi].maxRadius; gap > 0 {
 			r += gap
 		}
@@ -616,53 +637,21 @@ func (idx *Index) evalSegments(bs *batchScratch, pi, ps, nseg int, knnMode bool,
 	}
 }
 
-// evalInterval runs one query's tight loop over an elementary interval's
-// contiguous block rows — the same kernel, bound refresh and accumulation as
-// the solo visit loops, so results are bit-identical to per-query execution.
-// rids is the interval's record-id slice; e0 is the interval's first row
-// inside the partition block, j the tile row of the query.
+// evalInterval runs one query's row scan over an elementary interval's
+// contiguous block rows — the row scans the solo search runs (knnRows,
+// rangeRows), so results are bit-identical to per-query execution. rids is
+// the interval's record-id slice; e0 is the interval's first row inside the
+// partition block, j the tile row of the query.
 //
 //mmdr:hotpath
 func (idx *Index) evalInterval(bs *batchScratch, tile, block []float64, rids []uint32, d, e0, j int, knnMode bool, r2 float64) {
 	q := tile[j*d : (j+1)*d : (j+1)*d]
-	row := e0 * d
-	abandon := d >= matrix.EarlyAbandonMinLen
+	rows := block[e0*d:]
 	if knnMode {
-		top := bs.tops[j]
-		if abandon {
-			for _, rid := range rids {
-				v := block[row : row+d : row+d]
-				row += d
-				top.Add(int(rid), matrix.SqDistEarlyAbandon(q, v, top.Kth()))
-			}
-		} else {
-			for _, rid := range rids {
-				v := block[row : row+d : row+d]
-				row += d
-				top.Add(int(rid), matrix.SqDist(q, v))
-			}
-		}
+		knnRows(bs.tops[j], q, rows, rids, &bs.chunk)
 		return
 	}
-	buf := bs.rangeBufs[j]
-	if abandon {
-		for _, rid := range rids {
-			v := block[row : row+d : row+d]
-			row += d
-			if d2 := matrix.SqDistEarlyAbandon(q, v, r2); d2 <= r2 {
-				buf = append(buf, index.Neighbor{ID: int(rid), Dist: d2})
-			}
-		}
-	} else {
-		for _, rid := range rids {
-			v := block[row : row+d : row+d]
-			row += d
-			if d2 := matrix.SqDist(q, v); d2 <= r2 {
-				buf = append(buf, index.Neighbor{ID: int(rid), Dist: d2})
-			}
-		}
-	}
-	bs.rangeBufs[j] = buf
+	bs.rangeBufs[j] = rangeRows(bs.rangeBufs[j], q, rows, rids, r2, &bs.chunk)
 }
 
 // insertBreakpoint inserts v into the sorted prefix bp[:n], dropping

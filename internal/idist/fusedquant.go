@@ -353,47 +353,22 @@ func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
 		}
 		act := bs.act[:na]
 		if codes != nil {
-			// Query-outer, like evalInterval: each active query streams the
-			// interval's code rows with its table and reservoir bound held
-			// in locals, and the rows stay cache-hot for the next query.
-			// The bound is refreshed only after an accepted Add (it moves
-			// only on compaction, and Add re-checks).
+			// Query-outer, like evalInterval: each active query scores the
+			// interval's code rows with its table while the rows stay
+			// cache-hot for the next query.
 			cb := idx.quant.Books[pi]
-			m, kc, tl := cb.M, cb.K, cb.TableLen()
+			m, tl := cb.M, cb.TableLen()
 			tab := bs.qtab[bs.qtabOff[pi]:]
-			for a := 0; a < na; a++ {
-				j := int(act[a])
-				table := tab[j*tl : (j+1)*tl : (j+1)*tl]
-				est := bs.ests[j]
-				kth := est.Kth()
-				off := e0 * m
-				for p := e0; p < e1; p++ {
-					code := codes[off : off+m : off+m]
-					off += m
-					if s := matrix.ADCSumBound(table, kc, code, kth); s < kth {
-						est.Add(ps+p, s)
-						kth = est.Kth()
-					}
-				}
+			for _, j := range act {
+				table := tab[int(j)*tl : int(j+1)*tl : int(j+1)*tl]
+				codeRows(bs.ests[j], table, cb.K, codes[e0*m:e1*m], m, ps+e0, &bs.chunk)
 			}
 		} else {
 			// Uncoded partition (created after training): exact estimates,
 			// query-outer like evalInterval.
-			abandon := d >= matrix.EarlyAbandonMinLen
-			for a := 0; a < na; a++ {
-				j := int(act[a])
-				x := tile[j*d : (j+1)*d : (j+1)*d]
-				est := bs.ests[j]
-				row := e0 * d
-				for p := e0; p < e1; p++ {
-					v := block[row : row+d : row+d]
-					row += d
-					if abandon {
-						est.Add(ps+p, matrix.SqDistEarlyAbandon(x, v, est.Kth()))
-					} else {
-						est.Add(ps+p, matrix.SqDist(x, v))
-					}
-				}
+			for _, j := range act {
+				x := tile[int(j)*d : int(j+1)*d : int(j+1)*d]
+				estRows(bs.ests[j], x, block[e0*d:], ps+e0, e1-e0, &bs.chunk)
 			}
 		}
 		distOps += int64(na) * int64(e1-e0)

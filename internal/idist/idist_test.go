@@ -197,6 +197,7 @@ func TestKNNQueryFarOutsideAllPartitions(t *testing.T) {
 	qs[2][0] = 30
 	bs := idx.getBatchScratch()
 	idx.primeTile(bs, qs)
+	idx.densityRadii(bs, 5)
 	for j := range qs {
 		gap := math.Inf(1)
 		for pi, p := range idx.parts {
@@ -205,7 +206,7 @@ func TestKNNQueryFarOutsideAllPartitions(t *testing.T) {
 		if gap <= 0 {
 			t.Fatalf("query %d is not outside every partition sphere (gap %v)", j, gap)
 		}
-		if r0 := idx.firstRadius(bs, j, 5); r0 < gap {
+		if r0 := idx.firstRadius(bs, j); r0 < gap {
 			t.Fatalf("query %d opens at %v, inside the gap %v to the nearest sphere", j, r0, gap)
 		}
 	}

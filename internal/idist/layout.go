@@ -1,6 +1,10 @@
 package idist
 
-import "math"
+import (
+	"math"
+
+	"mmdr/internal/quant"
+)
 
 // soaLayout is the structure-of-arrays mirror of the B⁺-tree's leaf level:
 // every stored entry, in global ascending leaf order, with the partition
@@ -59,6 +63,11 @@ type soaLayout struct {
 	// row keeps its code until the merge: it can take a reservoir slot, but
 	// its exact re-rank distance is +Inf, so it never becomes an answer.
 	codes [][]byte
+
+	// codeSet is the quantizer set that encoded codes (nil without codes).
+	// A merge under the same set copies each surviving row's code instead
+	// of encoding it again.
+	codeSet *quant.Set
 
 	// Per-partition delta: the rows inserted since the last merge, in
 	// insertion order. dvecs[pi] is row-major dims[pi]-wide like vecs[pi],
@@ -150,14 +159,23 @@ func (idx *Index) rebuildLayout() {
 		copy(lay.vecs[pi][row*d:(row+1)*d], idx.storedVec(pi, int(rid)))
 	}
 
-	// Pass 3 (quantizer attached): encode every block row into the parallel
-	// per-partition code blocks, in the same leaf order. Encoding is a
-	// deterministic function of the stored vectors and the codebooks, so a
-	// rebuild always reproduces identical codes. A partition the codebook
-	// set does not cover (created by Insert after training) keeps a nil code
-	// block and is served exactly by the quantized scans.
+	// Pass 3 (quantizer attached): fill the per-partition code blocks, in
+	// the same leaf order. Encoding is a deterministic function of the
+	// stored vector and the codebooks, and writes never change a surviving
+	// row's vector, so a row the previous layout held in a block keeps the
+	// code found there through the old rowOf when the same set encoded it.
+	// Only the rows new to the blocks are encoded: the delta a merge folds
+	// in, or every row when SetQuantizer attaches a different set. A
+	// partition the codebook set does not cover (created by Insert after
+	// training) keeps a nil code block and is served exactly by the
+	// quantized scans.
 	if qs := idx.quant; qs != nil {
+		old := idx.layout
+		if old == nil || old.codeSet != qs {
+			old = nil
+		}
 		lay.codes = make([][]byte, nParts)
+		lay.codeSet = qs
 		for pi := 0; pi < nParts; pi++ {
 			if pi >= len(qs.Books) {
 				continue
@@ -166,12 +184,22 @@ func (idx *Index) rebuildLayout() {
 			if cb == nil || cb.Dim != lay.dims[pi] {
 				continue
 			}
-			n := counts[pi]
-			d := lay.dims[pi]
+			var prev []byte
+			if old != nil && pi < len(old.codes) {
+				prev = old.codes[pi]
+			}
+			m, d := cb.M, lay.dims[pi]
+			ps := lay.partStart[pi]
 			block := lay.vecs[pi]
-			codes := make([]byte, n*cb.M)
-			for row := 0; row < n; row++ {
-				cb.EncodeInto(block[row*d:(row+1)*d], codes[row*cb.M:(row+1)*cb.M])
+			codes := make([]byte, counts[pi]*m)
+			for row := 0; row < counts[pi]; row++ {
+				code := codes[row*m : (row+1)*m]
+				if rid := lay.rids[ps+row]; prev != nil && int(rid) < len(old.rowOf) && old.rowOf[rid] >= 0 {
+					o := int(old.rowOf[rid])
+					copy(code, prev[o*m:(o+1)*m])
+					continue
+				}
+				cb.EncodeInto(block[row*d:(row+1)*d], code)
 			}
 			lay.codes[pi] = codes
 		}

@@ -247,11 +247,21 @@ func TestQuantizedCodesSurviveWrites(t *testing.T) {
 }
 
 // TestRebuildLayoutEncodesInsertedRows: the merge (rebuildLayout) moves
-// inserted rows from the delta into the blocks with their codes, and the
-// code-path answer at full budget still finds them.
+// inserted rows from the delta into the blocks with their codes and keeps
+// the codes of the rows that survive it, and the code-path answer at full
+// budget still finds the inserted rows. After the merge every row's code is
+// a fresh encoding of its stored vector; after SetQuantizer attaches a
+// different set, every code is that set's encoding.
 func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
 	const n, k = 600, 5
 	idx, _ := quantFixture(t, n, 89)
+	// Deletes first, so the merge moves the surviving rows to new block
+	// positions and the copied codes must follow them.
+	for _, id := range []int{0, 7, 123, 450} {
+		if !idx.Delete(id) {
+			t.Fatalf("Delete(%d) found nothing", id)
+		}
+	}
 	// Insert clones of existing subspace members, so they land in coded
 	// partitions, until a write merges.
 	var ids []int
@@ -263,17 +273,11 @@ func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
 		ids = append(ids, id)
 	}
 	lay := idx.layout
+	checkCodes(t, "merge", idx, idx.quant)
 	for _, id := range ids {
 		pi := int(idx.partOf[id])
-		cb := idx.quant.Books[pi]
 		if pi >= len(lay.codes) || lay.codes[pi] == nil || lay.rowOf[id] < 0 {
 			t.Fatalf("row %d not merged into a coded block", id)
-		}
-		row := int(lay.rowOf[id])
-		want := make([]byte, cb.M)
-		cb.EncodeInto(idx.storedVec(pi, id), want)
-		if got := lay.codes[pi][row*cb.M : (row+1)*cb.M]; string(got) != string(want) {
-			t.Fatalf("row %d: code %v after the merge, want %v", id, got, want)
 		}
 		got, err := idx.KNNQuantized(idx.ds.Point(id), k, idx.ds.N)
 		if err != nil {
@@ -289,6 +293,48 @@ func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
 			t.Fatalf("inserted row %d missing from full-budget quantized result %v", id, got)
 		}
 	}
+
+	other, err := quant.TrainSet(idx.ds, idx.red, quant.Config{Blocks: 4, Bits: 5, Seed: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkCodes(t, "old set vs new", idx, other) == 0 {
+		t.Fatal("the second set encodes every row as the first does; the re-encode check would be vacuous")
+	}
+	if err := idx.SetQuantizer(other); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkCodes(t, "SetQuantizer", idx, other); n != 0 {
+		t.Fatalf("after SetQuantizer %d rows keep a code the new set does not give them", n)
+	}
+}
+
+// checkCodes counts the layout's rows whose code differs from set's fresh
+// encoding of the row's stored vector. It fails the test on any difference
+// when set is the attached quantizer.
+func checkCodes(t *testing.T, label string, idx *Index, set *quant.Set) int {
+	t.Helper()
+	lay := idx.layout
+	diff := 0
+	for pi, codes := range lay.codes {
+		if codes == nil {
+			continue
+		}
+		cb := set.Books[pi]
+		ps, pe := lay.partStart[pi], lay.partStart[pi+1]
+		want := make([]byte, cb.M)
+		for row := 0; row < pe-ps; row++ {
+			id := int(lay.rids[ps+row])
+			cb.EncodeInto(idx.storedVec(pi, id), want)
+			if got := codes[row*cb.M : (row+1)*cb.M]; string(got) != string(want) {
+				if set == idx.quant {
+					t.Fatalf("%s: row %d (partition %d, block row %d) has code %v, want %v", label, id, pi, row, got, want)
+				}
+				diff++
+			}
+		}
+	}
+	return diff
 }
 
 func TestKNNQuantizedAllocatesOnlyResult(t *testing.T) {

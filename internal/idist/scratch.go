@@ -3,7 +3,6 @@ package idist
 import (
 	"mmdr/internal/index"
 	"mmdr/internal/iostat"
-	"mmdr/internal/matrix"
 )
 
 // queryScratch bundles every per-query buffer the solo exact search needs
@@ -22,10 +21,11 @@ type queryScratch struct {
 	counter iostat.Sink
 
 	// Per-scan state.
-	q       []float64 // original-space query (outlier partition distances)
-	x       []float64 // query-side vector of the scan: the projection or q
-	cand    int       // candidates evaluated by the current scan
-	abandon bool      // vectors long enough for early abandoning to pay off
+	q    []float64 // original-space query (outlier partition distances)
+	x    []float64 // query-side vector of the scan: the projection or q
+	cand int       // candidates evaluated by the current scan
+
+	chunk [rowChunk]float64 // row scores of the scan's current chunk (knnRows)
 }
 
 // getScratch returns a ready-to-use scratch sized for the index's current
@@ -78,18 +78,13 @@ func (sc *queryScratch) ensure() {
 	}
 }
 
-// beginScan primes the per-scan state for partition pi. The abandon flag is
-// decided once per scan, not per candidate: subspace scans compare vectors
-// of the partition's reduced dimensionality, outlier scans compare
-// full-dimensional points, and only vectors of at least
-// matrix.EarlyAbandonMinLen amortize the early-abandon bound checks.
+// beginScan points the scan's query-side vector at partition pi's metric:
+// the query's projection for a subspace, the query itself for the outlier
+// partition.
 func (sc *queryScratch) beginScan(pi int) {
-	idx := sc.idx
-	if sub := idx.parts[pi].sub; sub != nil {
+	if sc.idx.parts[pi].sub != nil {
 		sc.x = sc.states[pi].proj
-		sc.abandon = sub.Dr >= matrix.EarlyAbandonMinLen
 	} else {
 		sc.x = sc.q
-		sc.abandon = idx.ds.Dim >= matrix.EarlyAbandonMinLen
 	}
 }

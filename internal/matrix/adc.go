@@ -28,6 +28,11 @@ func ADCSum(table []float64, k int, code []byte) float64 {
 	return s
 }
 
+// ADCAbandonMinBlocks is the code width from which ADCSumBound checks its
+// bound after each block; narrower codes are summed in full (see
+// ADCSumBound), and ADCToRows gives each of them its own inline loop.
+const ADCAbandonMinBlocks = 5
+
 // ADCSumBound is ADCSum with early abandoning: the scan may stop as soon as
 // the partial sum exceeds bound. Table entries are non-negative, so a
 // return value v > bound certifies the full estimate also exceeds bound; a
@@ -63,7 +68,7 @@ func ADCSumBound(table []float64, k int, code []byte, bound float64) float64 {
 		s += table[3*k+int(code[3])]
 		return s
 	}
-	if len(code) <= 4 {
+	if len(code) < ADCAbandonMinBlocks {
 		return ADCSum(table, k, code)
 	}
 	var s float64
@@ -76,4 +81,60 @@ func ADCSumBound(table []float64, k int, code []byte, bound float64) float64 {
 		off += k
 	}
 	return s
+}
+
+// ADCToRows is the one-table-to-many-rows kernel: it writes to out[i] the
+// ADC estimate of code row i of codes, a row-major block of len(out) rows
+// of m sub-codes each. Codes of one to four blocks (the widths ADCSumBound
+// never abandons) have their own loop with the table loads inline; wider
+// codes take ADCSum per row. Each value is ADCSum(table, k, row) bit for
+// bit: one accumulator starting at zero, blocks in order. There is no
+// early abandoning; callers scanning codes of more than four blocks keep
+// the per-row ADCSumBound loop.
+//
+//mmdr:hotpath chunk fill of the quantized interval scan
+func ADCToRows(table []float64, k int, codes []byte, m int, out []float64) {
+	if len(codes) != len(out)*m {
+		panic("matrix: ADCToRows code block size mismatch")
+	}
+	k2, k3 := 2*k, 3*k
+	switch m {
+	case 1:
+		for i, c := range codes {
+			var s float64
+			s += table[c]
+			out[i] = s
+		}
+	case 2:
+		for i := range out {
+			c := codes[i*2 : i*2+2 : i*2+2]
+			var s float64
+			s += table[c[0]]
+			s += table[k+int(c[1])]
+			out[i] = s
+		}
+	case 3:
+		for i := range out {
+			c := codes[i*3 : i*3+3 : i*3+3]
+			var s float64
+			s += table[c[0]]
+			s += table[k+int(c[1])]
+			s += table[k2+int(c[2])]
+			out[i] = s
+		}
+	case 4:
+		for i := range out {
+			c := codes[i*4 : i*4+4 : i*4+4]
+			var s float64
+			s += table[c[0]]
+			s += table[k+int(c[1])]
+			s += table[k2+int(c[2])]
+			s += table[k3+int(c[3])]
+			out[i] = s
+		}
+	default:
+		for i := range out {
+			out[i] = ADCSum(table, k, codes[i*m:i*m+m:i*m+m])
+		}
+	}
 }

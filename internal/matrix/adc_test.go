@@ -65,6 +65,37 @@ func TestADCSumBoundInfIsExact(t *testing.T) {
 	}
 }
 
+// ADCToRows must give every code row exactly ADCSum's value at every code
+// width: the inline loops (m < ADCAbandonMinBlocks) and the per-row
+// fallback above them.
+func TestADCToRowsMatchesADCSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for m := 1; m <= 8; m++ {
+		for _, k := range []int{1, 16, 64, 256} {
+			for _, n := range []int{0, 1, 9, 128} {
+				table, _ := randTable(rng, m, k)
+				codes := make([]byte, n*m)
+				for i := range codes {
+					codes[i] = byte(rng.Intn(k))
+				}
+				out := make([]float64, n)
+				ADCToRows(table, k, codes, m, out)
+				for i := range out {
+					if want := ADCSum(table, k, codes[i*m:(i+1)*m]); out[i] != want {
+						t.Fatalf("m=%d k=%d n=%d row %d: ADCToRows %v, ADCSum %v", m, k, n, i, out[i], want)
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ADCToRows with a short code block: expected panic")
+		}
+	}()
+	ADCToRows(make([]float64, 8), 4, make([]byte, 3), 2, make([]float64, 2))
+}
+
 func TestADCSumEmptyCode(t *testing.T) {
 	if got := ADCSum(nil, 4, nil); got != 0 {
 		t.Fatalf("empty code: got %v want 0", got)

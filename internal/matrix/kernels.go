@@ -217,6 +217,158 @@ func SqDistRowToSel(v, qs []float64, d int, sel []int32, bounds, out []float64) 
 	}
 }
 
+// SqDistToRows is the one-query-to-many-rows kernel, the mirror of
+// SqDistRowToSel: it writes to out[i] the squared distance from q to row i
+// of rows, a row-major block of len(out) rows, each len(q) wide. Every
+// width up to smallLoopMaxLen has its own fixed-width loop with the query's
+// coordinates held in locals, so a row costs d subtract-multiply-adds and
+// no call; wider rows take SqDist per row. Each value is SqDist(q, row)
+// bit for bit: the per-row accumulation is sqDistSmall's, one accumulator
+// starting at zero, s += t*t in coordinate order. There is no early
+// abandoning; callers that want it at EarlyAbandonMinLen and above keep the
+// per-row SqDistEarlyAbandon loop.
+//
+//mmdr:hotpath chunk fill of every layout row scan below EarlyAbandonMinLen
+func SqDistToRows(q, rows, out []float64) {
+	d := len(q)
+	if len(rows) != len(out)*d {
+		panic("matrix: SqDistToRows block size mismatch")
+	}
+	switch d {
+	case 1:
+		q0 := q[0]
+		for i := range out {
+			var s float64
+			t := q0 - rows[i]
+			s += t * t
+			out[i] = s
+		}
+	case 2:
+		q0, q1 := q[0], q[1]
+		for i := range out {
+			r := rows[i*2 : i*2+2 : i*2+2]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			out[i] = s
+		}
+	case 3:
+		q0, q1, q2 := q[0], q[1], q[2]
+		for i := range out {
+			r := rows[i*3 : i*3+3 : i*3+3]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			t = q2 - r[2]
+			s += t * t
+			out[i] = s
+		}
+	case 4:
+		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+		for i := range out {
+			r := rows[i*4 : i*4+4 : i*4+4]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			t = q2 - r[2]
+			s += t * t
+			t = q3 - r[3]
+			s += t * t
+			out[i] = s
+		}
+	case 5:
+		q0, q1, q2, q3, q4 := q[0], q[1], q[2], q[3], q[4]
+		for i := range out {
+			r := rows[i*5 : i*5+5 : i*5+5]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			t = q2 - r[2]
+			s += t * t
+			t = q3 - r[3]
+			s += t * t
+			t = q4 - r[4]
+			s += t * t
+			out[i] = s
+		}
+	case 6:
+		q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
+		for i := range out {
+			r := rows[i*6 : i*6+6 : i*6+6]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			t = q2 - r[2]
+			s += t * t
+			t = q3 - r[3]
+			s += t * t
+			t = q4 - r[4]
+			s += t * t
+			t = q5 - r[5]
+			s += t * t
+			out[i] = s
+		}
+	case 7:
+		q0, q1, q2, q3, q4, q5, q6 := q[0], q[1], q[2], q[3], q[4], q[5], q[6]
+		for i := range out {
+			r := rows[i*7 : i*7+7 : i*7+7]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			t = q2 - r[2]
+			s += t * t
+			t = q3 - r[3]
+			s += t * t
+			t = q4 - r[4]
+			s += t * t
+			t = q5 - r[5]
+			s += t * t
+			t = q6 - r[6]
+			s += t * t
+			out[i] = s
+		}
+	case 8:
+		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+		for i := range out {
+			r := rows[i*8 : i*8+8 : i*8+8]
+			var s float64
+			t := q0 - r[0]
+			s += t * t
+			t = q1 - r[1]
+			s += t * t
+			t = q2 - r[2]
+			s += t * t
+			t = q3 - r[3]
+			s += t * t
+			t = q4 - r[4]
+			s += t * t
+			t = q5 - r[5]
+			s += t * t
+			t = q6 - r[6]
+			s += t * t
+			t = q7 - r[7]
+			s += t * t
+			out[i] = s
+		}
+	default:
+		for i := range out {
+			out[i] = SqDist(q, rows[i*d:i*d+d:i*d+d])
+		}
+	}
+}
+
 // MatVecRowMajor computes dst = A·x for a row-major rows×cols matrix stored
 // flat in a. Each output element is one contiguous dot product (DotUnroll4),
 // so the kernel streams both the matrix and the vector — the access pattern

@@ -76,6 +76,25 @@ func TestSqDistEarlyAbandonContract(t *testing.T) {
 	}
 }
 
+// SqDistToRows must give every row exactly SqDist's value at every width:
+// each fixed-width loop (d ≤ smallLoopMaxLen) and the per-row fallback
+// above it, on row counts around a typical chunk.
+func TestSqDistToRowsMatchesSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for d := 1; d <= 20; d++ {
+		for _, n := range []int{0, 1, 7, 128} {
+			q, rows := randVec(rng, d), randVec(rng, n*d)
+			out := make([]float64, n)
+			SqDistToRows(q, rows, out)
+			for i := range out {
+				if want := SqDist(q, rows[i*d:(i+1)*d]); out[i] != want {
+					t.Fatalf("d=%d n=%d row %d: SqDistToRows %v, SqDist %v", d, n, i, out[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestMatVecRowMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dims := range [][2]int{{1, 1}, {3, 7}, {5, 4}, {8, 16}, {2, 33}} {
@@ -104,6 +123,7 @@ func TestKernelPanics(t *testing.T) {
 	expectPanic("DotUnroll4", func() { DotUnroll4([]float64{1}, []float64{1, 2}) })
 	expectPanic("SqDist", func() { SqDist([]float64{1}, []float64{1, 2}) })
 	expectPanic("SqDistEarlyAbandon", func() { SqDistEarlyAbandon([]float64{1}, nil, 0) })
+	expectPanic("SqDistToRows", func() { SqDistToRows([]float64{1, 2}, []float64{1, 2, 3}, make([]float64, 2)) })
 	expectPanic("MatVecRowMajor/mat", func() { MatVecRowMajor([]float64{1, 2, 3}, 2, 2, []float64{1, 2}, []float64{0, 0}) })
 	expectPanic("MatVecRowMajor/vec", func() { MatVecRowMajor([]float64{1, 2, 3, 4}, 2, 2, []float64{1}, []float64{0, 0}) })
 }
